@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernel backend against the pure-Python fallback.
 
-Runs the three hot sweeps on identical inputs through both backends,
-checks that results agree exactly, and prints timings plus speedups.
+Streams the k-dim subspaces of F2^n through the sweep driver, runs each
+of the four hot sweeps on every chunk through both backends, checks
+that the results agree chunk by chunk, and prints the summed timings,
+the speedups and the peak RSS.  Memory stays at one chunk of bases, so
+large enumerations are limited by time, not by memory.  Each chunk is
+its own kernel call: an early-exit sweep stops once per chunk.
 
     python benchmarks/bench_kernels.py [--n 8] [--k 4] [--repeat 1]
 """
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import resource
 import time
 
 import numpy as np
@@ -21,24 +26,34 @@ try:
 except ImportError:
     _ckern = None
 
-from gf2lab.subspaces import iter_rref_bases
+from gf2lab.subspaces import gaussian_binomial, iter_rref_bases, sweep_chunks
+
+BACKENDS = {"cython": _ckern, "python": _pykern}
 
 
-def bench(label, fn_c, fn_py, args, repeat):
-    results = {}
-    timings = {}
-    for name, fn in (("cython", fn_c), ("python", fn_py)):
-        if fn is None:
+def run_backends(chunk, call, repeat):
+    """{backend: (result, best of `repeat` seconds)} for one chunk."""
+    out = {}
+    for name, mod in BACKENDS.items():
+        if mod is None:
             continue
         best = float("inf")
         for _ in range(repeat):
             t0 = time.perf_counter()
-            out = fn(*args)
+            res = call(mod, chunk)
             best = min(best, time.perf_counter() - t0)
-        results[name] = tuple(int(v) for v in out) if hasattr(out, "__len__") else out
-        timings[name] = best
-    if len(results) == 2:
-        assert results["cython"] == results["python"], (label, results)
+        out[name] = (tuple(int(v) for v in res), best)
+    return out
+
+
+def bench(label, call, n, k, repeat):
+    timings: dict[str, float] = {}
+    for offset, _, runs in sweep_chunks(iter_rref_bases(n, k), run_backends, call, repeat):
+        results = {res for res, _ in runs.values()}
+        assert len(results) == 1, (label, offset, runs)
+        for name, (_, t) in runs.items():
+            timings[name] = timings.get(name, 0.0) + t
+    if len(timings) == 2:
         speedup = timings["python"] / timings["cython"]
         print(f"{label:28s} cython {timings['cython']:8.3f}s   "
               f"python {timings['python']:8.3f}s   x{speedup:,.1f}")
@@ -56,8 +71,7 @@ def main() -> None:
 
     n, k = args.n, args.k
     rng = random.Random(1)
-    bases = np.array(list(iter_rref_bases(n, k)), dtype=np.uint64)
-    print(f"n={n} k={k}: {len(bases)} subspaces; "
+    print(f"n={n} k={k}: {gaussian_binomial(n, k)} subspaces; "
           f"compiled backend {'available' if _ckern else 'MISSING'}")
 
     # bias sweeps stop at the first maximal witness; at desk sizes a
@@ -77,21 +91,13 @@ def main() -> None:
     )
 
     bench("condenser_sweep",
-          _ckern.condenser_sweep if _ckern else None,
-          _pykern.condenser_sweep,
-          (bases, map_cols, half, half), args.repeat)
-    bench("affine_sweep_m1",
-          _ckern.affine_sweep_m1 if _ckern else None,
-          _pykern.affine_sweep_m1,
-          (fw, n, bases, True), args.repeat)
-    bench("xor_sweep_m1",
-          _ckern.xor_sweep_m1 if _ckern else None,
-          _pykern.xor_sweep_m1,
-          (fw, n, bases, True), args.repeat)
-    bench("joint_sweep_m1",
-          _ckern.joint_sweep_m1 if _ckern else None,
-          _pykern.joint_sweep_m1,
-          (fw, n, bases, True), args.repeat)
+          lambda mod, bases: mod.condenser_sweep(bases, map_cols, half, half),
+          n, k, args.repeat)
+    for name in ("affine_sweep_m1", "xor_sweep_m1", "joint_sweep_m1"):
+        bench(name, lambda mod, bases: getattr(mod, name)(fw, n, bases, True),
+              n, k, args.repeat)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS {peak_mb:.1f} MB")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .bits import BitVec, GF2Matrix
 from .subspaces import span_points
@@ -147,11 +147,3 @@ def sum_sources(a: AffineSource, b: AffineSource) -> AffineSource:
         raise ValueError("dimension mismatch")
     stacked = GF2Matrix(a.basis.rows + b.basis.rows, a.n)
     return AffineSource.from_spanning(stacked, a.shift ^ b.shift)
-
-
-def apply_function(f: Callable[[int], int], X: AffineSource) -> Callable[[], Iterator[int]]:
-    """Lazy stream of f over the support (helper for exact distributions)."""
-    def gen() -> Iterator[int]:
-        for x in X.support():
-            yield f(x)
-    return gen

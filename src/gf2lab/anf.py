@@ -72,7 +72,3 @@ def truth_table_of(f, n: int) -> BitVec:
         if f(x) & 1:
             v |= 1 << x
     return BitVec(1 << n, v)
-
-
-def degree_of_function(f, n: int) -> int:
-    return anf_of(truth_table_of(f, n)).degree

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 def parity(x: int) -> int:
@@ -143,19 +143,6 @@ class GF2Matrix:
                 raise ValueError("row has bits beyond column count")
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], cols: int) -> "GF2Matrix":
-        return cls(tuple(rows), cols)
-
-    @classmethod
-    def from_bitvecs(cls, rows: Sequence[BitVec]) -> "GF2Matrix":
-        if not rows:
-            raise ValueError("need at least one row to infer width")
-        cols = rows[0].n
-        if any(r.n != cols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(tuple(r.value for r in rows), cols)
-
     @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
         return cls(tuple(1 << i for i in range(n)), n)
@@ -308,23 +295,6 @@ class GF2Matrix:
     def in_rowspan(self, v: int) -> bool:
         stacked = GF2Matrix(self.rows + (v,), self.cols)
         return stacked.rank() == self.rank()
-
-    def solve_combination(self, v: int) -> int | None:
-        """Return coefficient mask c with XOR of rows[i] over bits(c) == v."""
-        work = [(r, 1 << i) for i, r in enumerate(self.rows)]
-        acc_v, acc_c = v, 0
-        rank_rows: list[tuple[int, int]] = []
-        for c in range(self.cols):
-            sel = next((i for i in range(len(work)) if (work[i][0] >> c) & 1), None)
-            if sel is None:
-                continue
-            pr, pc = work.pop(sel)
-            rank_rows.append((pr, pc))
-            work = [(r ^ pr, cc ^ pc) if (r >> c) & 1 else (r, cc) for r, cc in work]
-            if (acc_v >> c) & 1:
-                acc_v ^= pr
-                acc_c ^= pc
-        return acc_c if acc_v == 0 else None
 
     # -- wire format ----------------------------------------------------
     def to_text(self) -> str:

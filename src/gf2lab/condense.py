@@ -21,9 +21,13 @@ from ._kernels import condenser_sweep
 from .bits import BitVec, GF2Matrix
 from .dimexp import DimExpander
 from .dist import ExactDist, min_entropy_distance
-from .subspaces import BudgetExceeded, enumerate_subspaces, gaussian_binomial
-
-SWEEP_CHUNK = 1 << 14
+from .subspaces import (  # SWEEP_CHUNK re-exported for benchmark sizing
+    SWEEP_CHUNK,  # noqa: F401
+    BudgetExceeded,
+    gaussian_binomial,
+    iter_rref_bases,
+    sweep_chunks,
+)
 
 
 @dataclass(frozen=True)
@@ -242,9 +246,26 @@ class AffineCondenserReport:
         return {k: v for k, v in self.__dict__.items()}
 
 
-def _sweep_chunk_worker(args):
-    arr, map_cols, m_out, threshold = args
-    return condenser_sweep(arr, map_cols, m_out, threshold)
+def min_rank_fold(
+    bases: Iterable[Sequence[int]], map_cols: np.ndarray, m_out: int,
+    threshold: int, workers: int = 1,
+) -> tuple[int, int, tuple[int, ...] | None, int]:
+    """Stream `bases` through `condenser_sweep`.
+
+    Returns (bases checked, min over them of the best map's image rank,
+    the first basis attaining that min, count below threshold); the min
+    is -1 and the basis None when `bases` is empty.
+    """
+    checked = failures = 0
+    min_best, argmin_rows = -1, None
+    for offset, chunk, (best, idx, below) in sweep_chunks(
+        bases, condenser_sweep, map_cols, m_out, threshold, workers=workers
+    ):
+        failures += below
+        if min_best < 0 or best < min_best:
+            min_best, argmin_rows = best, tuple(int(r) for r in chunk[idx])
+        checked = offset + len(chunk)
+    return checked, min_best, argmin_rows, failures
 
 
 def verify_affine_condenser(
@@ -255,11 +276,11 @@ def verify_affine_condenser(
     samples: int = 0,
     rng=None,
     budget: int = 1 << 21,
-    chunk: int = SWEEP_CHUNK,
     workers: int = 1,
 ) -> AffineCondenserReport:
     """For every k-dim subspace X, the best row rank max_r rank(M_r|X);
-    reports min over X against the threshold ceil(gamma_target * m_out)."""
+    reports min over X against the threshold ceil(gamma_target * m_out).
+    `workers` > 1 spreads the chunks over a process pool."""
     threshold = math.ceil(gamma_target * cond.m_out)
     map_cols = np.array(
         [m.transpose().rows for m in cond.row_maps], dtype=np.uint64
@@ -269,11 +290,10 @@ def verify_affine_condenser(
         total = gaussian_binomial(cond.n_in, k)
         if total > budget:
             raise BudgetExceeded(f"{total} subspaces exceed budget {budget}")
-        bases_iter = (b.rows for b in enumerate_subspaces(cond.n_in, k))
+        bases_iter = iter_rref_bases(cond.n_in, k)
     elif mode == "sampled":
         if rng is None or samples <= 0:
             raise ValueError("sampled mode needs rng and samples > 0")
-        total = samples
 
         def _sample():
             for _ in range(samples):
@@ -287,57 +307,8 @@ def verify_affine_condenser(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    min_best = -1
-    argmin_rows: tuple[int, ...] | None = None
-    failures = 0
-    checked = 0
-
-    if workers > 1:
-        import multiprocessing
-
-        chunks: list[list[tuple[int, ...]]] = []
-        buf: list[tuple[int, ...]] = []
-        for rows in bases_iter:
-            buf.append(rows)
-            if len(buf) >= chunk:
-                chunks.append(buf)
-                buf = []
-        if buf:
-            chunks.append(buf)
-        jobs = [
-            (np.array(c, dtype=np.uint64), map_cols, cond.m_out, threshold)
-            for c in chunks
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_sweep_chunk_worker, jobs)
-        for c, (best, idx, below) in zip(chunks, results):
-            failures += below
-            if min_best < 0 or best < min_best:
-                min_best = best
-                argmin_rows = c[idx]
-            checked += len(c)
-    else:
-        buf = []
-
-        def flush():
-            nonlocal min_best, argmin_rows, failures, checked
-            if not buf:
-                return
-            arr = np.array(buf, dtype=np.uint64)
-            best, idx, below = condenser_sweep(arr, map_cols, cond.m_out, threshold)
-            failures += below
-            if min_best < 0 or best < min_best:
-                min_best = best
-                argmin_rows = buf[idx]
-            checked += len(buf)
-            buf.clear()
-
-        for rows in bases_iter:
-            buf.append(rows)
-            if len(buf) >= chunk:
-                flush()
-        flush()
-
+    checked, min_best, argmin_rows, failures = min_rank_fold(
+        bases_iter, map_cols, cond.m_out, threshold, workers)
     witness = GF2Matrix(argmin_rows, cond.n_in) if argmin_rows else None
     return AffineCondenserReport(
         kind=cond.kind,

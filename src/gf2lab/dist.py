@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .affine import AffineSource
 from .subspaces import BudgetExceeded
@@ -48,10 +48,6 @@ class ExactDist:
         total = sum(counts.values())
         return cls(outcome_bits, {k: Fraction(v, total) for k, v in counts.items()})
 
-    @classmethod
-    def from_samples(cls, outcome_bits: int, samples: Iterable[int]) -> "ExactDist":
-        return cls.from_counts(outcome_bits, Counter(samples))
-
     # -- queries --------------------------------------------------------
     def prob(self, outcome: int) -> Fraction:
         return self.probs.get(outcome, Fraction(0))
@@ -61,11 +57,6 @@ class ExactDist:
 
     def max_prob(self) -> Fraction:
         return max(self.probs.values())
-
-    def min_entropy(self) -> float:
-        """-log2 max probability (report-side; exact paths use max_prob)."""
-        mp = self.max_prob()
-        return math.log2(mp.denominator) - math.log2(mp.numerator)
 
     def collision_probability(self) -> Fraction:
         return sum((p * p for p in self.probs.values()), Fraction(0))

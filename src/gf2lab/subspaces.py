@@ -5,13 +5,25 @@ order is fixed: pivot-column patterns in lexicographic order, and
 within one pattern the free entries in increasing integer order
 (free positions filled row-major).  Reports and witnesses rely on
 this order being stable, so it must never change.
+
+`sweep_chunks` is the one driver that streams such an enumeration
+through a sweep kernel in fixed-size chunks.
 """
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator, Sequence
+from collections import deque
+from functools import partial
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .bits import GF2Matrix
+
+# Bases per kernel call.  An early-exit sweep enumerates one whole chunk
+# before its kernel can stop, so this also bounds the cost of a sweep
+# that exits at its first subspace.
+SWEEP_CHUNK = 1 << 13
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -57,6 +69,53 @@ def enumerate_subspaces(n: int, k: int, budget: int | None = None) -> Iterator[G
         raise BudgetExceeded(f"{count} subspaces exceed budget {budget}")
     for rows in iter_rref_bases(n, k):
         yield GF2Matrix(rows, n)
+
+
+def _packed(bases: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
+    it = iter(bases)
+    while buf := list(islice(it, SWEEP_CHUNK)):
+        yield np.array(buf, dtype=np.uint64)
+
+
+def _call_kernel(kernel: Callable, args: tuple, chunk: np.ndarray):
+    return kernel(chunk, *args)
+
+
+def sweep_chunks(
+    bases: Iterable[Sequence[int]], kernel: Callable, *args, workers: int = 1
+) -> Iterator[tuple[int, np.ndarray, object]]:
+    """Run `kernel(chunk, *args)` over `bases`, SWEEP_CHUNK bases at a time.
+
+    Each chunk is a (count, k) uint64 array of consecutive bases.  Yields
+    (offset, chunk, result) in enumeration order, where offset is the
+    index of the chunk's first basis, so a caller may stop early and
+    read witness rows straight from the chunk.  With workers > 1 the
+    chunks go through a process pool's `imap`, whose task feeder blocks
+    until a worker reads the previous chunk, so only a few chunks are
+    in memory at once.  The kernel and its args must then be picklable.
+    """
+    run = partial(_call_kernel, kernel, args)
+    chunks = _packed(bases)
+    offset = 0
+    if workers <= 1:
+        for chunk in chunks:
+            yield offset, chunk, run(chunk)
+            offset += len(chunk)
+        return
+    import multiprocessing
+
+    sent: deque[np.ndarray] = deque()
+
+    def feed() -> Iterator[np.ndarray]:
+        for chunk in chunks:
+            sent.append(chunk)
+            yield chunk
+
+    with multiprocessing.Pool(workers) as pool:
+        for result in pool.imap(run, feed()):
+            chunk = sent.popleft()
+            yield offset, chunk, result
+            offset += len(chunk)
 
 
 def span_points(basis_rows: Sequence[int]) -> list[int]:

@@ -21,16 +21,17 @@ from . import _kernels
 from .affine import AffineSource
 from .bits import BitVec, GF2Matrix
 from .dist import ExactDist, distance_from_uniform
-from .subspaces import (
+from .subspaces import (  # SWEEP_CHUNK re-exported for benchmark sizing
+    SWEEP_CHUNK,  # noqa: F401
     BudgetExceeded,
     coset_reps,
     gaussian_binomial,
     iter_rref_bases,
     span_points,
+    sweep_chunks,
 )
 
 DEFAULT_BUDGET = 1 << 31  # coset * direction work units
-SWEEP_CHUNK = 1 << 13
 
 
 @dataclass
@@ -125,6 +126,11 @@ def joint_distance_at(table: Sequence[int], rows: Sequence[int], shift: int,
 
 
 def _reference_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
+    """(numerator, subspace index, shift, direction) of the first maximizer."""
+    return _reference_scan_m1(kind, table, n, k, with_shifts)[0]
+
+
+def _reference_scan_m1(kind: str, table, n: int, k: int, with_shifts: bool):
     size = 1 << n
     arr = np.array([t & 1 for t in table], dtype=np.uint8)
     xs = np.arange(size)
@@ -134,7 +140,7 @@ def _reference_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
         for a in range(size):
             shifts_tab[a] = arr[xs ^ a]
         g = shifts_tab ^ arr[None, :] if kind == "xor" else shifts_tab
-    best = (-1, -1, -1, -1)
+    best, best_rows = (-1, -1, -1, -1), ()
     si = -1
     for rows in iter_rref_bases(n, k):
         si += 1
@@ -161,10 +167,10 @@ def _reference_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
                 ai = int(np.argmax(nums))
                 cand = (int(nums[ai]), si, shift, ai + 1)
             if cand[0] > best[0]:
-                best = cand
+                best, best_rows = cand, rows
                 if best[0] == span:
-                    return best
-    return best
+                    return best, best_rows
+    return best, best_rows
 
 
 def _kernel_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
@@ -174,42 +180,18 @@ def _kernel_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
         "xor": _kernels.xor_sweep_m1,
         "joint": _kernels.joint_sweep_m1,
     }[kind]
-    best = (-1, -1, -1, -1)
-    offset = 0
-    buf: list[tuple[int, ...]] = []
-    span = 1 << k
-
-    def flush():
-        nonlocal best, offset
-        if not buf:
-            return False
-        arr = np.array(buf, dtype=np.uint64)
-        got = fn(fw, n, arr, with_shifts)
-        if kind == "affine":
-            num, si, shift = int(got[0]), int(got[1]), int(got[2])
-            a = -1
-        else:
-            num, si, shift, a = (int(v) for v in got)
+    best, best_rows = (-1, -1, -1, -1), ()
+    for offset, chunk, got in sweep_chunks(
+        iter_rref_bases(n, k), lambda chunk: fn(fw, n, chunk, with_shifts)
+    ):
+        # the affine kernel reports no direction
+        num, si, shift, a = ([int(v) for v in got] + [-1])[:4]
         if num > best[0]:
             best = (num, offset + si, shift, a)
-        offset += len(buf)
-        buf.clear()
-        return best[0] == span
-
-    for rows in iter_rref_bases(n, k):
-        buf.append(rows)
-        if len(buf) >= SWEEP_CHUNK:
-            if flush():
-                return best
-    flush()
-    return best
-
-
-def _nth_subspace(n: int, k: int, index: int) -> tuple[int, ...]:
-    for i, rows in enumerate(iter_rref_bases(n, k)):
-        if i == index:
-            return rows
-    raise IndexError(index)
+            best_rows = tuple(int(r) for r in chunk[si])
+            if num == 1 << k:
+                break
+    return best, best_rows
 
 
 def _sweep_cost(n: int, k: int, with_shifts: bool, directions: bool) -> int:
@@ -217,9 +199,8 @@ def _sweep_cost(n: int, k: int, with_shifts: bool, directions: bool) -> int:
     return cosets * (((1 << n) - 1) if directions else 1)
 
 
-def _witness_dict(n: int, k: int, best, value: Fraction) -> dict:
+def _witness_dict(n: int, best, rows, value: Fraction) -> dict:
     num, si, shift, a = best
-    rows = _nth_subspace(n, k, si)
     w = {
         "subspace_index": si,
         "basis": GF2Matrix(rows, n).to_text(),
@@ -270,19 +251,19 @@ def directional_bias(
             if not reference or cross_check:
                 runs.append(("kernel", _kernel_sweep_m1(kind, table, n, k, with_shifts)))
             if reference or cross_check:
-                runs.append(("reference", _reference_sweep_m1(kind, table, n, k, with_shifts)))
+                runs.append(("reference", _reference_scan_m1(kind, table, n, k, with_shifts)))
             if cross_check and runs[0][1] != runs[1][1]:
                 raise RuntimeError(
                     f"brute-forcers disagree: {runs[0]} vs {runs[1]}"
                 )
-            best = runs[0][1]
+            best, rows = runs[0][1]
             span = 1 << k
             value = (Fraction(best[0], span) if kind == "xor"
                      else Fraction(best[0], 2 * span))
         else:
-            best, value = _generic_joint_sweep(table, n, k, m, with_shifts)
+            best, rows, value = _generic_joint_sweep(table, n, k, m, with_shifts)
         report_value = str(value)
-        witness = _witness_dict(n, k, best, value)
+        witness = _witness_dict(n, best, rows, value)
         notes = "cross-checked by two brute-forcers" if cross_check else ""
     elif mode == "sample":
         if samples < 1:
@@ -353,7 +334,7 @@ def _sampled_joint(fcall, f, src: AffineSource, a: int, m: int) -> Fraction:
 
 
 def _generic_joint_sweep(table, n, k, m, with_shifts):
-    best = (-1, -1, -1, -1)
+    best, best_rows = (-1, -1, -1, -1), ()
     best_val = Fraction(-1)
     si = -1
     for rows in iter_rref_bases(n, k):
@@ -363,8 +344,8 @@ def _generic_joint_sweep(table, n, k, m, with_shifts):
                 val = joint_distance_at(table, rows, shift, a, m)
                 if val > best_val:
                     best_val = val
-                    best = (0, si, shift, a)
-    return best, best_val
+                    best, best_rows = (0, si, shift, a), rows
+    return best, best_rows, best_val
 
 
 def affine_extractor_distance(
@@ -391,14 +372,14 @@ def affine_extractor_distance(
         runs = [("kernel", _kernel_sweep_m1("affine", table, n, k, with_shifts))]
         if cross_check:
             runs.append(("reference",
-                         _reference_sweep_m1("affine", table, n, k, with_shifts)))
+                         _reference_scan_m1("affine", table, n, k, with_shifts)))
             if runs[0][1] != runs[1][1]:
                 raise RuntimeError(f"brute-forcers disagree: {runs}")
-        best = runs[0][1]
+        best, best_rows = runs[0][1]
         value = Fraction(best[0], 2 << k)
     else:
         best_val = Fraction(-1)
-        best = (-1, -1, -1, -1)
+        best, best_rows = (-1, -1, -1, -1), ()
         si = -1
         for rows in iter_rref_bases(n, k):
             si += 1
@@ -406,7 +387,7 @@ def affine_extractor_distance(
                 val = affine_distance_at(table, rows, shift, m)
                 if val > best_val:
                     best_val = val
-                    best = (0, si, shift, -1)
+                    best, best_rows = (0, si, shift, -1), rows
         value = best_val
     return VerifyReport(
         property="affine_extractor_distance",
@@ -414,7 +395,7 @@ def affine_extractor_distance(
         mode=mode,
         value=str(value),
         radius=None,
-        witness=_witness_dict(n, k, best, value),
+        witness=_witness_dict(n, best, best_rows, value),
         passed=None,
         runtime_seconds=time.perf_counter() - t0,
     )

@@ -187,3 +187,31 @@ def reference_pipeline(xv: int, p) -> dict:
         out |= raw_parity(p.g_code.generator.rows[i] & z) << i
     return {"sc": sc, "xprime": xprime, "enc": enc, "blocks": blocks,
             "z": z, "out": out}
+
+
+def raw_subspaces(n: int, k: int) -> list[tuple[tuple[int, ...], frozenset]]:
+    """(basis, point set) of every k-dim subspace of F2^n, found by
+    growing spans one vector at a time and de-duplicating point sets."""
+    spans = {frozenset([0]): ()}
+    for _ in range(k):
+        grown: dict[frozenset, tuple[int, ...]] = {}
+        for pts, basis in spans.items():
+            for v in range(1, 1 << n):
+                if v not in pts:
+                    grown.setdefault(pts | {p ^ v for p in pts}, basis + (v,))
+        spans = grown
+    return [(basis, pts) for pts, basis in spans.items()]
+
+
+def _pairs(n: int, k1: int, k2: int):
+    """All (U, V) basis pairs with dim(U ∩ V) <= 1, with the nonzero
+    elements of U+V: the pairs the sumset-injector condition ranges
+    over.  Intersection dimension falls out of |U+V|."""
+    u_list = raw_subspaces(n, k1)
+    v_list = u_list if k2 == k1 else raw_subspaces(n, k2)
+    for u_rows, u_pts in u_list:
+        for v_rows, v_pts in v_list:
+            sumset = {u ^ v for u in u_pts for v in v_pts}
+            dim_sum = len(sumset).bit_length() - 1
+            if k1 + k2 - dim_sum <= 1:
+                yield u_rows, v_rows, sorted(sumset - {0})

@@ -29,7 +29,7 @@ from gf2lab.dimexp import (
     verify_dimension_expander,
 )
 from gf2lab.dist import ExactDist
-from gf2lab.injector import search_certified_injector, _pairs
+from gf2lab.injector import search_certified_injector
 from gf2lab.lbp import (
     LinearBP,
     Node,
@@ -50,7 +50,7 @@ from gf2lab.verify import (
 )
 from gf2lab.xprims import ToeplitzExtractor
 
-from reference import reference_pipeline
+from reference import _pairs, reference_pipeline
 
 
 def report(criterion: int, text: str) -> None:

@@ -2,6 +2,8 @@
 from fractions import Fraction
 import random
 
+import pytest
+
 from gf2lab.bits import GF2Matrix
 from gf2lab.injector import (
     StructuredFunction,
@@ -13,8 +15,27 @@ from gf2lab.injector import (
     verify_injector,
     witness_index,
 )
-from gf2lab.subspaces import iter_rref_bases, span_points
+from gf2lab.subspaces import BudgetExceeded, gaussian_binomial, iter_rref_bases, span_points
 from gf2lab.verify import directional_bias
+
+from reference import _pairs
+
+
+def pair_oracle(inj: SumsetInjector) -> bool:
+    """Some member's kernel avoids U+V on every qualifying (U, V) pair."""
+    full = (1 << inj.m) - 1
+    kills = [0] * (1 << inj.n)  # kills[w]: members whose kernel holds w
+    for w in range(1, 1 << inj.n):
+        for i, a in enumerate(inj.matrices):
+            if a.mul_vec(w) == 0:
+                kills[w] |= 1 << i
+    for _, _, sumset in _pairs(inj.n, inj.k1, inj.k2):
+        bad = 0
+        for w in sumset:
+            bad |= kills[w]
+        if bad == full:
+            return False
+    return True
 
 
 class TestVerify:
@@ -75,6 +96,32 @@ class TestVerify:
         inj = sample_injector(5, 2, 2, 4, 6, 3)
         again = SumsetInjector.from_text(inj.to_text())
         assert again == inj
+
+
+@pytest.mark.parametrize("shape, seed, certified", [
+    ((5, 2, 2, 4, 24), 0, True),
+    ((5, 2, 2, 3, 8), 0, False),
+    ((6, 2, 2, 3, 8), 0, False),
+    ((4, 4, 2, 4, 8), 0, True),   # k1+k2-1 > n: no pair qualifies
+    ((5, 3, 3, 5, 6), 2, False),  # D = n: U and V share a witness row
+    ((5, 2, 1, 3, 4), 0, False),
+])
+def test_subspace_sweep_matches_pair_oracle(shape, seed, certified):
+    n, k1, k2 = shape[:3]
+    inj = sample_injector(*shape, seed=seed)
+    ok, witness = verify_injector(inj)
+    assert ok == pair_oracle(inj) == certified
+    if ok:
+        assert witness is None
+    else:
+        u, v = witness
+        assert (u.nrows, v.nrows) == (k1, k2)
+        assert u.vconcat(v).rank() >= k1 + k2 - 1
+        assert witness_index(inj, u.rows, v.rows) is None
+    swept = gaussian_binomial(n, min(k1 + k2, n))
+    with pytest.raises(BudgetExceeded):
+        verify_injector(inj, budget=swept - 1)
+    assert verify_injector(inj, budget=swept) == (ok, witness)
 
 
 class TestStructuredFunction:

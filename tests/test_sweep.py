@@ -1,0 +1,83 @@
+"""The streaming sweep driver: chunk boundaries, early exit, process pool."""
+from fractions import Fraction
+import random
+
+import pytest
+
+from gf2lab import subspaces, verify
+from gf2lab.bits import GF2Matrix
+from gf2lab.condense import basic_cond, verify_affine_condenser
+from gf2lab.dimexp import Certificate, DimExpander
+from gf2lab.verify import affine_extractor_distance, builtin_function, directional_bias
+
+SMALL_CHUNK = 7
+
+_rng = random.Random(1)
+TABLE = [_rng.getrandbits(1) for _ in range(64)]
+# Identity maps make span{(a, 0), (0, a)} the worst subspace; at n=8,
+# k=2 the first one sits at index 7168, deep into the small chunks.
+IDENTITY_COND = basic_cond(
+    DimExpander(4, tuple(GF2Matrix.identity(4) for _ in range(3)),
+                Fraction(0), Certificate("none", 0)),
+    8,
+)
+
+
+def sweeps() -> list[tuple[str, dict]]:
+    """xor and joint exit early at subspace 38; affine sweeps all 651."""
+    reps = [directional_bias(TABLE, 6, 5, definition=d, cross_check=True)
+            for d in ("xor_bias", "joint")]
+    reps.append(affine_extractor_distance(TABLE, 6, 4, cross_check=True))
+    return [(r.value, r.witness) for r in reps]
+
+
+def condenser_fields(**kwargs) -> dict:
+    rep = verify_affine_condenser(IDENTITY_COND, 2, Fraction(1, 2), **kwargs)
+    return dict(rep.to_json(), runtime_seconds=None)
+
+
+def test_small_chunks_keep_values_and_witnesses(monkeypatch):
+    want, cond_want = sweeps(), condenser_fields()
+    assert all(w["subspace_index"] >= SMALL_CHUNK for _, w in want)
+    assert cond_want["min_best_rank"] == 1 and cond_want["failures"] == 15
+    monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
+    assert sweeps() == want
+    assert condenser_fields() == cond_want
+
+
+def test_early_exit_reads_one_chunk(monkeypatch):
+    seen = []
+
+    def counted(n, k):
+        for rows in subspaces.iter_rref_bases(n, k):
+            seen.append(rows)
+            yield rows
+
+    monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(verify, "iter_rref_bases", counted)
+    rep = directional_bias(builtin_function("parity", 6), 6, 3)
+    assert rep.value == "1"
+    assert 0 < len(seen) <= SMALL_CHUNK
+
+
+def test_pool_matches_in_process(monkeypatch):
+    monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
+    assert condenser_fields(workers=2) == condenser_fields(workers=1)
+
+
+def test_chunk_constant_shared():
+    from gf2lab import condense
+
+    assert verify.SWEEP_CHUNK is condense.SWEEP_CHUNK is subspaces.SWEEP_CHUNK
+    assert subspaces.SWEEP_CHUNK == 1 << 13
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_driver_offsets_cover_enumeration(monkeypatch, k):
+    monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
+    bases = list(subspaces.iter_rref_bases(5, k))
+    got = []
+    for offset, chunk, size in subspaces.sweep_chunks(iter(bases), len):
+        assert offset == len(got) and size == len(chunk) <= SMALL_CHUNK
+        got.extend(tuple(int(r) for r in row) for row in chunk)
+    assert got == bases
