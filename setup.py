@@ -1,6 +1,6 @@
 """Build script: compiles the optional Cython kernel extension.
 
-The package works without the extension (a pure-Python fallback is
+The package works without the extension (a numpy fallback is
 selected at import time), so a failed compile only costs speed.
 """
 
@@ -27,7 +27,7 @@ try:
         compiler_directives={"language_level": "3"},
     )
 except ImportError as exc:  # pragma: no cover
-    print(f"gf2lab: Cython/numpy unavailable ({exc}); building pure-Python only",
+    print(f"gf2lab: Cython/numpy unavailable ({exc}); building the numpy fallback only",
           file=sys.stderr)
 
 setup(ext_modules=ext_modules)

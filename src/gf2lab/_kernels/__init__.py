@@ -1,4 +1,4 @@
-"""Hot-loop kernels: compiled extension when available, pure Python otherwise.
+"""Hot-loop kernels: compiled extension when available, numpy fallback otherwise.
 
 Set GF2LAB_BACKEND=python (or =cython) to force a backend; forcing
 cython raises if the extension is missing.  Both backends expose the

@@ -1,26 +1,35 @@
-"""Pure-Python kernel backend: big-int bitsets and popcounts.
+"""Numpy kernel backend: packed uint64 coset bitsets and popcounts.
 
 Mirrors the Cython extension's API exactly; selected at import time
 when the extension is unavailable (or forced via GF2LAB_BACKEND).
 Scan order inside every sweep is (subspace, shift, direction), and the
 first strict maximizer wins, so witnesses match across backends.
+
+The m=1 sweeps take a whole chunk of bases at once and work through
+its cosets in sub-batches.  The xor and joint sweeps AND packed uint64
+coset bitsets with a packed table of the 2^n - 1 directions and count
+bits with `np.bitwise_count`; the affine sweep sums f over each coset's
+points.  `np.argmax` over a sub-batch's statistics, flattened in
+(subspace, shift, direction) order, returns the same first maximizer
+as a sequential loop, and a sweep stops after the first sub-batch that
+reaches the largest possible value.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 BACKEND = "python"
+
+# Cap on cosets x max(directions, 2^k) per sub-batch, and on the cells of
+# each block of the direction table built at once.  Every temporary of
+# the m=1 sweeps holds at most a few bytes per cell, or one row of 2^n.
+BLOCK_CELLS = 1 << 14
 
 
 def _to_int_rows(bases) -> list[tuple[int, ...]]:
     return [tuple(int(w) for w in row) for row in bases]
-
-
-def _words_to_int(words) -> int:
-    acc = 0
-    for i, w in enumerate(words):
-        acc |= int(w) << (64 * i)
-    return acc
 
 
 def rank_words(rows: Sequence[int], width: int) -> int:
@@ -105,53 +114,115 @@ def condenser_sweep(bases, map_cols, m_out: int, threshold: int):
     return min_best, argmin, below
 
 
-def _xor_shift_masks(n: int) -> list[tuple[int, int]]:
-    """For each bit j: (low_mask, j) so that permuting a 2^n-bit set S by
-    x -> x ^ (1<<j) is ((S & low) << 2^j) | ((S >> 2^j) & low)."""
+def _bits(f_words, n: int) -> np.ndarray:
+    """The table f as 2^n bytes of 0/1."""
+    words = np.ascontiguousarray(f_words, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[: 1 << n]
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 bytes, zero-padded to whole words, as uint64 words."""
+    pad = -bits.shape[1] % 64
+    if pad:
+        bits = np.pad(bits, ((0, 0), (0, pad)))
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _cosets(bases, n: int, with_shifts: bool,
+            per_coset: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Sub-batches (subspace index, shift, points) of the chunk's cosets.
+
+    Cosets come in (subspace, shift) order, shifts in the canonical
+    coset-representative order (bit t of the shift index sets the t-th
+    non-pivot coordinate).  A sub-batch holds max(1, BLOCK_CELLS //
+    per_coset) cosets; points is a (cosets, 2^k) array.
+    """
+    rows = np.asarray(bases, dtype=np.uint64).astype(np.int64)
+    ns, k = rows.shape
+    n_free = n - k if with_shifts else 0
+    per_batch = max(1, BLOCK_CELLS // per_coset)
+    step = max(1, per_batch >> n_free)
+    for s0 in range(0, ns, step):
+        blk = rows[s0:s0 + step]
+        span = np.zeros((len(blk), 1), dtype=np.int64)
+        for j in range(k):
+            span = np.concatenate([span, span ^ blk[:, j, None]], axis=1)
+        shifts = np.zeros((len(blk), 1), dtype=np.int64)
+        if n_free:
+            pivots = np.bitwise_or.reduce(blk & -blk, axis=1)
+            free = (pivots[:, None] >> np.arange(n)) & 1 == 0
+            free_cols = np.nonzero(free)[1].reshape(len(blk), n_free)
+            for t in range(n_free):
+                bit = np.left_shift(1, free_cols[:, t, None])
+                shifts = np.concatenate([shifts, shifts | bit], axis=1)
+        sub = np.repeat(np.arange(len(blk)), shifts.shape[1])
+        flat = shifts.ravel()
+        for c0 in range(0, len(flat), per_batch):
+            sl = slice(c0, c0 + per_batch)
+            yield s0 + sub[sl], flat[sl], span[sub[sl]] ^ flat[sl, None]
+
+
+def _coset_bits(points: np.ndarray, n: int) -> np.ndarray:
+    """Packed (cosets, words) bitsets of the cosets' points."""
+    ind = np.zeros((len(points), max(1 << n, 64)), dtype=np.uint8)
+    ind[np.arange(len(points))[:, None], points] = 1
+    return _pack(ind)
+
+
+def _direction_table(fbits: np.ndarray, n: int, xor: bool) -> np.ndarray:
+    """Packed g_a for a = 1 .. 2^n - 1, as (words, directions).
+
+    Bit x of g_a is f(x ^ a), XORed with f(x) when `xor`.  Built
+    BLOCK_CELLS bits at a time, straight into words.
+    """
     size = 1 << n
-    out = []
-    for j in range(n):
-        blk = 1 << j
-        pat = (1 << blk) - 1
-        low = 0
-        pos = 0
-        while pos < size:
-            low |= pat << pos
-            pos += 2 * blk
-        out.append((low, blk))
-    return out
+    xs = np.arange(size)
+    table = np.empty((max(1, size >> 6), size - 1), dtype=np.uint64)
+    step = max(1, BLOCK_CELLS // size)
+    for a0 in range(1, size, step):
+        a = np.arange(a0, min(a0 + step, size))
+        g = fbits[xs ^ a[:, None]]
+        if xor:
+            g ^= fbits
+        table[:, a0 - 1:a[-1]] = _pack(g).T
+    return table
 
 
-def _permute_by_xor(f: int, a: int, masks) -> int:
-    """Bitset of x -> f[x ^ a]."""
-    out = f
-    t = a
-    while t:
-        j = (t & -t).bit_length() - 1
-        low, blk = masks[j]
-        out = ((out & low) << blk) | ((out >> blk) & low)
-        t &= t - 1
-    return out
+def _and_counts(bits: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(cosets, directions) popcounts of bits[c] & g_a, one word at a time."""
+    acc = np.zeros((len(bits), table.shape[1]), dtype=np.int32)
+    for w in range(table.shape[0]):
+        acc += np.bitwise_count(bits[:, w, None] & table[w])
+    return acc
+
+
+def _first_max(batches, score, span: int) -> tuple[int, int, int, int]:
+    """(num, subspace index, shift, direction) of the first strict
+    maximizer of score(points) over the sub-batches; the direction is
+    the column index plus one.  Stops at the first num equal to span."""
+    best = (-1, -1, -1, -1)
+    for si, shifts, points in batches:
+        nums = score(points)
+        i = int(np.argmax(nums))
+        c, col = divmod(i, nums.shape[1])
+        num = int(nums[c, col])
+        if num > best[0]:
+            best = (num, int(si[c]), int(shifts[c]), col + 1)
+            if num == span:
+                break
+    return best
 
 
 def affine_sweep_m1(f_words, n: int, bases, with_shifts: bool):
     """Max over (subspace, shift) of |S - 2*|coset ∩ f||; Δ = num/(2S)."""
-    f = _words_to_int(f_words)
-    rows_list = _to_int_rows(bases)
-    best_num, best_si, best_shift = -1, -1, -1
-    for si, rows in enumerate(rows_list):
-        pts = _span_points(rows)
-        size = len(pts)
-        for s in _shift_values(rows, n, with_shifts):
-            mask = 0
-            for p in pts:
-                mask |= 1 << (p ^ s)
-            num = abs(size - 2 * (mask & f).bit_count())
-            if num > best_num:
-                best_num, best_si, best_shift = num, si, s
-                if best_num == size:
-                    return best_num, best_si, best_shift
-    return best_num, best_si, best_shift
+    fbits = _bits(f_words, n)
+    span = 1 << np.shape(bases)[1]
+
+    def score(points):
+        ones = fbits[points].sum(axis=1, dtype=np.int64)
+        return np.abs(span - 2 * ones)[:, None]
+
+    return _first_max(_cosets(bases, n, with_shifts, span), score, span)[:3]
 
 
 def xor_sweep_m1(f_words, n: int, bases, with_shifts: bool):
@@ -159,61 +230,31 @@ def xor_sweep_m1(f_words, n: int, bases, with_shifts: bool):
 
     Returned num satisfies bias = num / 2^k.
     """
-    f = _words_to_int(f_words)
-    masks = _xor_shift_masks(n)
-    gs = [0] + [f ^ _permute_by_xor(f, a, masks) for a in range(1, 1 << n)]
-    rows_list = _to_int_rows(bases)
-    best = (-1, -1, -1, -1)
-    for si, rows in enumerate(rows_list):
-        pts = _span_points(rows)
-        size = len(pts)
-        for s in _shift_values(rows, n, with_shifts):
-            mask = 0
-            for p in pts:
-                mask |= 1 << (p ^ s)
-            num_best = -1
-            a_best = -1
-            for a in range(1, 1 << n):
-                num = abs(size - 2 * (mask & gs[a]).bit_count())
-                if num > num_best:
-                    num_best, a_best = num, a
-                    if num == size:
-                        break
-            if num_best > best[0]:
-                best = (num_best, si, s, a_best)
-                if best[0] == size:
-                    return best
-    return best
+    fbits = _bits(f_words, n)
+    table = _direction_table(fbits, n, xor=True)
+    span = 1 << np.shape(bases)[1]
+
+    def score(points):
+        return np.abs(span - 2 * _and_counts(_coset_bits(points, n), table))
+
+    batches = _cosets(bases, n, with_shifts, max(table.shape[1], span))
+    return _first_max(batches, score, span)
 
 
 def joint_sweep_m1(f_words, n: int, bases, with_shifts: bool):
     """Max over (subspace, shift, a != 0) of sum_v |c_0v - c_1v|; Δ = num/(2S)."""
-    f = _words_to_int(f_words)
-    masks = _xor_shift_masks(n)
-    fas = [0] + [_permute_by_xor(f, a, masks) for a in range(1, 1 << n)]
-    rows_list = _to_int_rows(bases)
-    best = (-1, -1, -1, -1)
-    for si, rows in enumerate(rows_list):
-        pts = _span_points(rows)
-        for s in _shift_values(rows, n, with_shifts):
-            mask = 0
-            for p in pts:
-                mask |= 1 << (p ^ s)
-            m1 = mask & f
-            m0 = mask & ~f
-            pc1 = m1.bit_count()
-            pc0 = m0.bit_count()
-            num_best = -1
-            a_best = -1
-            for a in range(1, 1 << n):
-                fa = fas[a]
-                c11 = (m1 & fa).bit_count()
-                c01 = (m0 & fa).bit_count()
-                num = abs(pc0 - c01 - (pc1 - c11)) + abs(c01 - c11)
-                if num > num_best:
-                    num_best, a_best = num, a
-            if num_best > best[0]:
-                best = (num_best, si, s, a_best)
-                if best[0] == len(pts):
-                    return best
-    return best
+    fw = np.asarray(f_words, dtype=np.uint64)
+    fbits = _bits(f_words, n)
+    table = _direction_table(fbits, n, xor=False)
+    span = 1 << np.shape(bases)[1]
+
+    def score(points):
+        bits = _coset_bits(points, n)
+        m1, m0 = bits & fw, bits & ~fw
+        pc1 = np.bitwise_count(m1).sum(axis=1, dtype=np.int32)[:, None]
+        pc0 = span - pc1
+        c11, c01 = _and_counts(m1, table), _and_counts(m0, table)
+        return np.abs(pc0 - c01 - (pc1 - c11)) + np.abs(c01 - c11)
+
+    batches = _cosets(bases, n, with_shifts, max(table.shape[1], span))
+    return _first_max(batches, score, span)

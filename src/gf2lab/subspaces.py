@@ -7,7 +7,7 @@ within one pattern the free entries in increasing integer order
 this order being stable, so it must never change.
 
 `sweep_chunks` is the one driver that streams such an enumeration
-through a sweep kernel in fixed-size chunks.
+through a sweep kernel in chunks.
 """
 from __future__ import annotations
 
@@ -20,10 +20,12 @@ import numpy as np
 
 from .bits import GF2Matrix
 
-# Bases per kernel call.  An early-exit sweep enumerates one whole chunk
-# before its kernel can stop, so this also bounds the cost of a sweep
-# that exits at its first subspace.
+# Most bases per kernel call.  The first chunk holds FIRST_CHUNK bases
+# (at most SWEEP_CHUNK) and each later one twice as many, up to
+# SWEEP_CHUNK, so a sweep that exits at its first subspace enumerates
+# FIRST_CHUNK bases, not SWEEP_CHUNK, before its kernel can stop.
 SWEEP_CHUNK = 1 << 13
+FIRST_CHUNK = 64
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -73,8 +75,10 @@ def enumerate_subspaces(n: int, k: int, budget: int | None = None) -> Iterator[G
 
 def _packed(bases: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
     it = iter(bases)
-    while buf := list(islice(it, SWEEP_CHUNK)):
+    size = min(FIRST_CHUNK, SWEEP_CHUNK)
+    while buf := list(islice(it, size)):
         yield np.array(buf, dtype=np.uint64)
+        size = min(2 * size, SWEEP_CHUNK)
 
 
 def _call_kernel(kernel: Callable, args: tuple, chunk: np.ndarray):
@@ -84,9 +88,10 @@ def _call_kernel(kernel: Callable, args: tuple, chunk: np.ndarray):
 def sweep_chunks(
     bases: Iterable[Sequence[int]], kernel: Callable, *args, workers: int = 1
 ) -> Iterator[tuple[int, np.ndarray, object]]:
-    """Run `kernel(chunk, *args)` over `bases`, SWEEP_CHUNK bases at a time.
+    """Run `kernel(chunk, *args)` over `bases`, chunk by chunk.
 
-    Each chunk is a (count, k) uint64 array of consecutive bases.  Yields
+    Each chunk is a (count, k) uint64 array of consecutive bases; the
+    chunks grow from FIRST_CHUNK to SWEEP_CHUNK bases.  Yields
     (offset, chunk, result) in enumeration order, where offset is the
     index of the chunk's first basis, so a caller may stop early and
     read witness rows straight from the chunk.  With workers > 1 the

@@ -2,9 +2,11 @@
 distance, disperser checks and eps-bias certification.
 
 Every exhaustive number can be recomputed by a second, structurally
-different brute-forcer (`reference=True` runs the numpy gather path
-instead of the kernel bitset path; `cross_check=True` runs both and
-insists on exact agreement, witnesses included).  Witness tie-breaking
+different brute-forcer.  The kernel path ANDs packed coset bitsets
+with a packed table of the directions and counts bits; `reference=True`
+instead sums every coset point for every direction as products of 0/1
+indicator matrices, and `cross_check=True` runs both and insists on
+exact agreement, witnesses included.  Witness tie-breaking
 is fixed: the lexicographically smallest (subspace index, shift,
 direction) in the canonical enumeration order wins.
 """
@@ -13,11 +15,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _kernels
+from ._kernels import _pykern
 from .affine import AffineSource
 from .bits import BitVec, GF2Matrix
 from .dist import ExactDist, distance_from_uniform
@@ -27,11 +31,13 @@ from .subspaces import (  # SWEEP_CHUNK re-exported for benchmark sizing
     coset_reps,
     gaussian_binomial,
     iter_rref_bases,
+    pivot_mask_of_rref,
     span_points,
     sweep_chunks,
 )
 
 DEFAULT_BUDGET = 1 << 31  # coset * direction work units
+MEMORY_BUDGET = 1 << 30  # bytes an m=1 sweep may be estimated to need
 
 
 @dataclass
@@ -122,7 +128,10 @@ def joint_distance_at(table: Sequence[int], rows: Sequence[int], shift: int,
     return Fraction(acc, (size << m) * 2)
 
 
-# -- reference (numpy) sweeps for m=1 --------------------------------------
+# -- reference brute-forcer for m=1: indicator-matrix products -------------
+
+# Cap on the entries of each float matrix the reference holds at once.
+REFERENCE_CELLS = 1 << 16
 
 
 def _reference_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
@@ -131,45 +140,80 @@ def _reference_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
 
 
 def _reference_scan_m1(kind: str, table, n: int, k: int, with_shifts: bool):
-    size = 1 << n
-    arr = np.array([t & 1 for t in table], dtype=np.uint8)
+    """(best, basis rows) by summing every coset point for every direction.
+
+    Cosets are the rows of a 0/1 indicator matrix M (cosets x 2^n), with
+    shifts from `coset_reps`.  Directions are the columns of a 0/1
+    matrix G (2^n x directions) with G[x, a] = f(x ^ a), XORed with f(x)
+    for xor.  M @ G counts, for each coset and direction, the points
+    where the column is 1; the sums are integers below 2^53, so float64
+    products are exact.  Subspaces stream from `iter_rref_bases`, and M
+    and G are built a block of REFERENCE_CELLS entries at a time.
+    """
+    size, span = 1 << n, 1 << k
+    f = np.array([t & 1 for t in table], dtype=np.float64)
     xs = np.arange(size)
-    if kind in ("xor", "joint"):
-        # row a of G holds f(x ^ a); row 0 unused
-        shifts_tab = np.empty((size, size), dtype=np.uint8)
-        for a in range(size):
-            shifts_tab[a] = arr[xs ^ a]
-        g = shifts_tab ^ arr[None, :] if kind == "xor" else shifts_tab
+    per_block = max(1, REFERENCE_CELLS // size)
+    reps: dict[int, np.ndarray] = {}  # coset_reps depend only on the pivots
+
+    def cosets(rows) -> np.ndarray:
+        if not with_shifts:
+            return np.zeros(1, dtype=np.int64)
+        key = pivot_mask_of_rref(rows)
+        if key not in reps:
+            reps[key] = np.array(list(coset_reps(rows, n)), dtype=np.int64)
+        return reps[key]
+
+    def direction_blocks():
+        for a0 in range(1, size, per_block):
+            a = np.arange(a0, min(a0 + per_block, size))
+            g = f[xs[:, None] ^ a[None, :]]
+            yield a, (np.abs(g - f[:, None]) if kind == "xor" else g)
+
+    def best_per_coset(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ones = m @ f
+        if kind == "affine":
+            return np.abs(span - 2 * ones), np.full(len(m), -1)
+        best = np.full(len(m), -1.0)
+        arg = np.full(len(m), -1)
+        m1, m0 = m * f, m * (1 - f)
+        for a, g in direction_blocks():
+            if kind == "xor":
+                nums = np.abs(span - 2 * (m @ g))
+            else:
+                c11, c01 = m1 @ g, m0 @ g
+                nums = (np.abs(span - ones[:, None] - c01 - (ones[:, None] - c11))
+                        + np.abs(c01 - c11))
+            j = np.argmax(nums, axis=1)
+            top = nums[np.arange(len(m)), j]
+            up = top > best
+            best[up], arg[up] = top[up], a[j[up]]
+        return best, arg
+
     best, best_rows = (-1, -1, -1, -1), ()
-    si = -1
-    for rows in iter_rref_bases(n, k):
-        si += 1
-        pts = np.array(span_points(rows), dtype=np.int64)
-        span = len(pts)
-        for shift in coset_reps(rows, n) if with_shifts else (0,):
-            idx = pts ^ shift
-            if kind == "affine":
-                num = abs(span - 2 * int(arr[idx].sum()))
-                cand = (num, si, shift, -1)
-            elif kind == "xor":
-                sums = g[1:, idx].sum(axis=1)
-                nums = np.abs(span - 2 * sums.astype(np.int64))
-                ai = int(np.argmax(nums))
-                cand = (int(nums[ai]), si, shift, ai + 1)
-            else:  # joint distance numerators
-                fa = g[1:, idx].astype(np.int64)
-                fx = arr[idx].astype(np.int64)
-                c11 = (fa & fx[None, :]).sum(axis=1)
-                c01 = (fa & (1 - fx)[None, :]).sum(axis=1)
-                pc1 = int(fx.sum())
-                pc0 = span - pc1
-                nums = np.abs(pc0 - c01 - (pc1 - c11)) + np.abs(c01 - c11)
-                ai = int(np.argmax(nums))
-                cand = (int(nums[ai]), si, shift, ai + 1)
-            if cand[0] > best[0]:
-                best, best_rows = cand, rows
+    bases = iter_rref_bases(n, k)
+    subspaces_per_block = max(1, per_block >> (n - k if with_shifts else 0))
+    si0 = 0
+    while block := list(islice(bases, subspaces_per_block)):
+        rows = np.array(block, dtype=np.int64).reshape(len(block), k)
+        pts = np.zeros((len(block), 1), dtype=np.int64)
+        for j in range(k):
+            pts = np.concatenate([pts, pts ^ rows[:, j, None]], axis=1)
+        reps_of = [cosets(r) for r in block]
+        owner = np.repeat(np.arange(len(block)), [len(r) for r in reps_of])
+        shifts = np.concatenate(reps_of)
+        for c0 in range(0, len(owner), per_block):
+            sub, shift = owner[c0:c0 + per_block], shifts[c0:c0 + per_block]
+            m = np.zeros((len(sub), size))
+            m[np.arange(len(sub))[:, None], pts[sub] ^ shift[:, None]] = 1
+            nums, arg = best_per_coset(m)
+            c = int(np.argmax(nums))
+            if nums[c] > best[0]:
+                best = (int(nums[c]), si0 + int(sub[c]), int(shift[c]), int(arg[c]))
+                best_rows = block[sub[c]]
                 if best[0] == span:
                     return best, best_rows
+        si0 += len(block)
     return best, best_rows
 
 
@@ -197,6 +241,23 @@ def _kernel_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
 def _sweep_cost(n: int, k: int, with_shifts: bool, directions: bool) -> int:
     cosets = gaussian_binomial(n, k) * ((1 << (n - k)) if with_shifts else 1)
     return cosets * (((1 << n) - 1) if directions else 1)
+
+
+def _check_memory(n: int, directions: bool) -> None:
+    """Raise BudgetExceeded if an m=1 sweep's estimated peak bytes,
+    kernel and reference, exceed MEMORY_BUDGET.
+
+    The estimate is the packed direction table (2^(2n)/8 bytes, or the
+    2^n-bit table of f alone), 64 bytes per point for the arrays of 2^n
+    entries (the table list, f as bytes and floats, index rows), and the
+    fixed sub-batch caps of the numpy kernels and of the reference.
+    """
+    packed = (1 << (2 * n if directions else n)) // 8
+    blocks = 64 * _pykern.BLOCK_CELLS + 96 * REFERENCE_CELLS
+    need = packed + (64 << n) + blocks
+    if need > MEMORY_BUDGET:
+        raise BudgetExceeded(
+            f"sweep needs about {need} bytes, over the {MEMORY_BUDGET}-byte budget")
 
 
 def _witness_dict(n: int, best, rows, value: Fraction) -> dict:
@@ -244,6 +305,8 @@ def directional_bias(
             raise BudgetExceeded(f"sweep cost {cost} exceeds budget {budget}")
         params["sweep_cost"] = cost
         params["budget"] = budget
+        if m == 1:
+            _check_memory(n, directions=True)
         table = as_table(f, n)
         if m == 1:
             kind = "xor" if definition == "xor_bias" else "joint"
@@ -367,6 +430,8 @@ def affine_extractor_distance(
     cost = _sweep_cost(n, k, with_shifts, False)
     if cost > budget:
         raise BudgetExceeded(f"sweep cost {cost} exceeds budget {budget}")
+    if m == 1:
+        _check_memory(n, directions=False)
     table = as_table(f, n)
     if m == 1:
         runs = [("kernel", _kernel_sweep_m1("affine", table, n, k, with_shifts))]

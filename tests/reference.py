@@ -3,8 +3,13 @@
 Everything here is written against raw ints with explicit loops and no
 imports from the staged modules, so that agreement with the package is
 a genuine dual-implementation check.  Only the leaf field arithmetic
-(gf2k) and parameter records are shared as data.
+(gf2k) and parameter records are shared as data; the m=1 sweep oracle
+gathers with numpy.
 """
+from itertools import combinations
+
+import numpy as np
+
 from gf2lab.gf2k import MODULUS_TABLE, GF2kField
 
 
@@ -215,3 +220,63 @@ def _pairs(n: int, k1: int, k2: int):
             dim_sum = len(sumset).bit_length() - 1
             if k1 + k2 - dim_sum <= 1:
                 yield u_rows, v_rows, sorted(sumset - {0})
+
+
+def raw_rref_bases(n: int, k: int):
+    """k-dim subspaces of F2^n as RREF rows, in the documented canonical
+    order: pivot columns lexicographically, then the free entries
+    (filled row-major) as an increasing integer."""
+    for pivots in combinations(range(n), k):
+        cells = [(i, j) for i, p in enumerate(pivots)
+                 for j in range(p + 1, n) if j not in pivots]
+        for fill in range(1 << len(cells)):
+            rows = [1 << p for p in pivots]
+            for t, (i, j) in enumerate(cells):
+                if (fill >> t) & 1:
+                    rows[i] |= 1 << j
+            yield tuple(rows)
+
+
+def raw_coset_reps(rows, n: int) -> list[int]:
+    """Every value on the non-pivot coordinates, bit t of the index
+    setting the t-th free coordinate."""
+    pivots = {(r & -r).bit_length() - 1 for r in rows}
+    free = [j for j in range(n) if j not in pivots]
+    return [sum(1 << j for t, j in enumerate(free) if (idx >> t) & 1)
+            for idx in range(1 << len(free))]
+
+
+def gather_scan_m1(kind: str, table, n: int, k: int, with_shifts: bool):
+    """((num, subspace index, shift, direction), basis rows) of the first
+    maximizer, one coset at a time: gather f on the coset and on each
+    translate x ^ a, and sum.  kind is "affine", "xor" or "joint"."""
+    arr = np.array([t & 1 for t in table], dtype=np.int64)
+    dirs = np.arange(1, 1 << n)
+    best, best_rows = (-1, -1, -1, -1), ()
+    for si, rows in enumerate(raw_rref_bases(n, k)):
+        pts = [0]
+        for r in rows:
+            pts += [p ^ r for p in pts]
+        pts = np.array(pts)
+        span = len(pts)
+        for shift in raw_coset_reps(rows, n) if with_shifts else [0]:
+            idx = pts ^ shift
+            fx = arr[idx]
+            if kind == "affine":
+                cand = (abs(span - 2 * int(fx.sum())), si, shift, -1)
+            else:
+                fa = arr[idx[None, :] ^ dirs[:, None]]  # row a - 1: f(x ^ a)
+                if kind == "xor":
+                    nums = np.abs(span - 2 * (fa ^ fx).sum(axis=1))
+                else:
+                    c11 = (fa & fx).sum(axis=1)
+                    c01 = (fa & (1 - fx)).sum(axis=1)
+                    pc1 = int(fx.sum())
+                    nums = np.abs(span - pc1 - c01 - (pc1 - c11)) + np.abs(c01 - c11)
+                ai = int(np.argmax(nums))
+                cand = (int(nums[ai]), si, shift, ai + 1)
+            if cand[0] > best[0]:
+                best, best_rows = cand, rows
+                if best[0] == span:
+                    return best, best_rows
+    return best, best_rows

@@ -60,6 +60,30 @@ def test_early_exit_reads_one_chunk(monkeypatch):
     assert 0 < len(seen) <= SMALL_CHUNK
 
 
+def test_parity_exit_reads_first_chunk_at_default_size(monkeypatch):
+    seen = []
+
+    def counted(n, k):
+        for rows in subspaces.iter_rref_bases(n, k):
+            seen.append(rows)
+            yield rows
+
+    monkeypatch.setattr(verify, "iter_rref_bases", counted)
+    rep = directional_bias(builtin_function("parity", 8), 8, 4)
+    assert rep.value == "1"
+    assert subspaces.FIRST_CHUNK == 64 < subspaces.SWEEP_CHUNK
+    assert 0 < len(seen) <= 64
+
+
+def test_chunks_grow_from_first_to_sweep_chunk(monkeypatch):
+    monkeypatch.setattr(subspaces, "FIRST_CHUNK", 2)
+    monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
+    sizes = [len(chunk) for _, chunk, _ in
+             subspaces.sweep_chunks(subspaces.iter_rref_bases(5, 2), len)]
+    assert subspaces.gaussian_binomial(5, 2) == 155 == 2 + 4 + 21 * 7 + 2
+    assert sizes == [2, 4] + [7] * 21 + [2]
+
+
 def test_pool_matches_in_process(monkeypatch):
     monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
     assert condenser_fields(workers=2) == condenser_fields(workers=1)

@@ -1,6 +1,8 @@
 """The measurement harness: sweeps, witnesses, dual-implementation checks."""
 from fractions import Fraction
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -86,6 +88,27 @@ class TestDirectionalBias:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             directional_bias(lambda x: 0, 12, 6, budget=1000)
+
+    def test_memory_budget_refuses_before_allocating(self):
+        # k = n is one coset, far under the work budget, but the packed
+        # direction table alone would take 2^34 / 8 bytes
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="bytes"):
+            directional_bias(builtin_function("parity", 17), 17, 17)
+        with pytest.raises(BudgetExceeded, match="bytes"):
+            affine_extractor_distance(builtin_function("parity", 24), 24, 24)
+        assert time.perf_counter() - t0 < 1
+
+    def test_cross_check_memory_is_bounded(self):
+        rng = random.Random(403)
+        table = [rng.getrandbits(1) for _ in range(1 << 12)]
+        tracemalloc.start()
+        try:
+            directional_bias(table, 12, 12, cross_check=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
     def test_joint_m2(self):
         rng = random.Random(402)
