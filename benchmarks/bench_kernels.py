@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel backend against the numpy fallback.
+"""Time the four hot sweep kernels over the k-dim subspaces of F2^n.
 
-Streams the k-dim subspaces of F2^n through the sweep driver, runs each
-of the four hot sweeps on every chunk through both backends, checks
-that the results agree chunk by chunk, and prints the summed timings,
-the speedups and the peak RSS.  Memory stays at one chunk of bases, so
-large enumerations are limited by time, not by memory.  Each chunk is
-its own kernel call.  Like the library's sweeps, a bias sweep stops
-after the first chunk whose result reaches the largest possible value;
-`sweep_chunks` grows its chunks from 64 bases, so early-exit rows time
-only the first small chunks.
+Streams the subspaces through the sweep driver, runs each sweep on
+every chunk, and prints the summed time, the chunk count and the peak
+RSS.  Memory stays at one chunk of bases, so large enumerations are
+limited by time, not by memory.  Each chunk is its own kernel call.
+Like the library's sweeps, a bias sweep stops after the first chunk
+whose result reaches the largest possible value; `sweep_chunks` grows
+its chunks from 64 bases, so early-exit rows time only the first small
+chunks.  The kernels' agreement with independent oracles is tested in
+tests/test_kernels.py.
 
     python benchmarks/bench_kernels.py [--n 8] [--k 4] [--repeat 1]
 """
@@ -22,54 +22,31 @@ import time
 
 import numpy as np
 
-from gf2lab._kernels import _pykern
-
-try:
-    from gf2lab._kernels import _ckern
-except ImportError:
-    _ckern = None
-
+from gf2lab import _kernels
 from gf2lab.subspaces import gaussian_binomial, iter_rref_bases, sweep_chunks
 
-BACKENDS = {"cython": _ckern, "numpy": _pykern}
 
-
-def run_backends(chunk, call, repeat):
-    """{backend: (result, best of `repeat` seconds)} for one chunk."""
-    out = {}
-    for name, mod in BACKENDS.items():
-        if mod is None:
-            continue
-        best = float("inf")
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            res = call(mod, chunk)
-            best = min(best, time.perf_counter() - t0)
-        out[name] = (tuple(int(v) for v in res), best)
-    return out
+def timed(chunk, call, repeat):
+    """(result, best of `repeat` seconds) of call(chunk)."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        res = call(chunk)
+        best = min(best, time.perf_counter() - t0)
+    return res, best
 
 
 def bench(label, call, n, k, repeat, stop=None):
-    """Sum each backend's time over the chunks; with `stop`, end after
-    the first chunk whose result's first entry equals it."""
-    timings: dict[str, float] = {}
+    """Sum the time over the chunks; with `stop`, end after the first
+    chunk whose result's first entry equals it."""
+    total = 0.0
     chunks = 0
-    for offset, _, runs in sweep_chunks(iter_rref_bases(n, k), run_backends, call, repeat):
-        results = {res for res, _ in runs.values()}
-        assert len(results) == 1, (label, offset, runs)
+    for _, _, (res, t) in sweep_chunks(iter_rref_bases(n, k), timed, call, repeat):
         chunks += 1
-        for name, (_, t) in runs.items():
-            timings[name] = timings.get(name, 0.0) + t
-        if stop is not None and results.pop()[0] == stop:
+        total += t
+        if stop is not None and res[0] == stop:
             break
-    label = f"{label} ({chunks} chunks)"
-    if len(timings) == 2:
-        speedup = timings["numpy"] / timings["cython"]
-        print(f"{label:32s} cython {timings['cython']:8.3f}s   "
-              f"numpy {timings['numpy']:8.3f}s   x{speedup:,.1f}")
-    else:
-        (name, t), = timings.items()
-        print(f"{label:32s} {name} {t:8.3f}s   (single backend)")
+    print(f"{f'{label} ({chunks} chunks)':32s} {total:8.3f}s")
 
 
 def main() -> None:
@@ -81,12 +58,11 @@ def main() -> None:
 
     n, k = args.n, args.k
     rng = random.Random(1)
-    print(f"n={n} k={k}: {gaussian_binomial(n, k)} subspaces; "
-          f"compiled backend {'available' if _ckern else 'MISSING'}")
+    print(f"n={n} k={k}: {gaussian_binomial(n, k)} subspaces; backend {_kernels.BACKEND}")
 
     # bias sweeps stop at the first maximal witness; at desk sizes a
     # maximal coset almost always exists, so those rows mostly measure
-    # table setup and identical early-exit points.  condenser_sweep, and
+    # table setup and the first chunks.  condenser_sweep, and
     # the bias sweeps at higher k, run the full enumeration.
     fval = rng.getrandbits(1 << n)
     words = max(1, (1 << n) >> 6)
@@ -101,10 +77,10 @@ def main() -> None:
     )
 
     bench("condenser_sweep",
-          lambda mod, bases: mod.condenser_sweep(bases, map_cols, half, half),
+          lambda bases: _kernels.condenser_sweep(bases, map_cols, half, half),
           n, k, args.repeat)
     for name in ("affine_sweep_m1", "xor_sweep_m1", "joint_sweep_m1"):
-        bench(name, lambda mod, bases: getattr(mod, name)(fw, n, bases, True),
+        bench(name, lambda bases: getattr(_kernels, name)(fw, n, bases, True),
               n, k, args.repeat, stop=1 << k)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak_mb:.1f} MB")

@@ -5,8 +5,7 @@ non-malleable extractors, low-degree correlation breakers, linear
 branching programs and sumset injectors, every property verified by
 exhaustive enumeration in exact rational arithmetic at desk scale.
 """
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .bits import BitVec, GF2Matrix
 
-__all__ = ["BitVec", "GF2Matrix", "KERNEL_BACKEND"]
+__all__ = ["BitVec", "GF2Matrix"]
 __version__ = "0.1.0"

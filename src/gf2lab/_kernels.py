@@ -1,9 +1,12 @@
-"""Numpy kernel backend: packed uint64 coset bitsets and popcounts.
+"""The hot-loop kernels: subspace rank sweeps and m=1 bias sweeps, in numpy.
 
-Mirrors the Cython extension's API exactly; selected at import time
-when the extension is unavailable (or forced via GF2LAB_BACKEND).
 Scan order inside every sweep is (subspace, shift, direction), and the
-first strict maximizer wins, so witnesses match across backends.
+first strict maximizer wins, so witnesses follow the canonical
+enumeration order of `gf2lab.subspaces`.
+
+`rank_words` eliminates by highest set bit and takes any number of
+rows.  `condenser_sweep` takes, for each basis, the max over the maps
+of the rank of the basis's image, then the first minimum over bases.
 
 The m=1 sweeps take a whole chunk of bases at once and work through
 its cosets in sub-batches.  The xor and joint sweeps AND packed uint64
@@ -20,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-BACKEND = "python"
+BACKEND = "numpy"  # the only implementation; benchmark reports print it
 
 # Cap on cosets x max(directions, 2^k) per sub-batch, and on the cells of
 # each block of the direction table built at once.  Every temporary of
@@ -46,36 +49,6 @@ def rank_words(rows: Sequence[int], width: int) -> int:
                 rank += 1
                 break
     return rank
-
-
-def _span_points(rows: tuple[int, ...]) -> list[int]:
-    pts = [0]
-    cur = 0
-    for i in range(1, 1 << len(rows)):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        pts.append(cur)
-    return pts
-
-
-def _free_positions(rows: tuple[int, ...], n: int) -> list[int]:
-    pivot_mask = 0
-    for r in rows:
-        pivot_mask |= r & -r
-    return [j for j in range(n) if not (pivot_mask >> j) & 1]
-
-
-def _shift_values(rows: tuple[int, ...], n: int, with_shifts: bool) -> list[int]:
-    if not with_shifts:
-        return [0]
-    free = _free_positions(rows, n)
-    shifts = []
-    for idx in range(1 << len(free)):
-        v = 0
-        for t, j in enumerate(free):
-            if (idx >> t) & 1:
-                v |= 1 << j
-        shifts.append(v)
-    return shifts
 
 
 def condenser_sweep(bases, map_cols, m_out: int, threshold: int):

@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import _pykern
 from .affine import AffineSource
 from .bits import BitVec, GF2Matrix
 from .dist import ExactDist, distance_from_uniform
@@ -253,7 +252,7 @@ def _check_memory(n: int, directions: bool) -> None:
     fixed sub-batch caps of the numpy kernels and of the reference.
     """
     packed = (1 << (2 * n if directions else n)) // 8
-    blocks = 64 * _pykern.BLOCK_CELLS + 96 * REFERENCE_CELLS
+    blocks = 64 * _kernels.BLOCK_CELLS + 96 * REFERENCE_CELLS
     need = packed + (64 << n) + blocks
     if need > MEMORY_BUDGET:
         raise BudgetExceeded(

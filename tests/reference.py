@@ -246,6 +246,41 @@ def raw_coset_reps(rows, n: int) -> list[int]:
             for idx in range(1 << len(free))]
 
 
+def raw_rank(rows) -> int:
+    """GF(2) rank of int rows: reduce each row against a basis kept in
+    decreasing order, whose members have distinct highest bits."""
+    basis: list[int] = []
+    for v in rows:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def raw_condenser_sweep(bases, maps, threshold: int) -> tuple[int, int, int]:
+    """(min over bases of the max over maps of the image's rank, index of
+    the first basis at that min, count of bases whose max is below
+    threshold).  bases: tuples of int rows; maps: per map, the int image
+    of each coordinate vector."""
+    bests = []
+    for rows in bases:
+        ranks = []
+        for cols in maps:
+            images = []
+            for r in rows:
+                img = 0
+                for j, col in enumerate(cols):
+                    if (r >> j) & 1:
+                        img ^= col
+                images.append(img)
+            ranks.append(raw_rank(images))
+        bests.append(max(ranks))
+    low = min(bests)
+    return low, bests.index(low), sum(b < threshold for b in bests)
+
+
 def gather_scan_m1(kind: str, table, n: int, k: int, with_shifts: bool):
     """((num, subspace index, shift, direction), basis rows) of the first
     maximizer, one coset at a time: gather f on the coset and on each

@@ -1,13 +1,17 @@
-"""The m=1 sweeps: numpy kernels, the indicator-matrix reference and the
-per-coset gather oracle agree exactly, witnesses included."""
+"""The kernels against independent oracles.
+
+The m=1 sweeps: numpy kernels, the indicator-matrix reference and the
+per-coset gather oracle agree exactly, witnesses included.  The rank
+kernels: `rank_words` and `condenser_sweep` return exactly what the int
+oracles in `reference` return."""
 import random
 
+import numpy as np
 import pytest
 
-from gf2lab import verify
-from gf2lab._kernels import _pykern
+from gf2lab import _kernels, verify
 from gf2lab.verify import affine_extractor_distance, builtin_function, directional_bias
-from reference import gather_scan_m1
+from reference import gather_scan_m1, raw_condenser_sweep, raw_rank, raw_rref_bases
 
 KINDS = ("affine", "xor", "joint")
 TABLES = ("random", "zero", "parity", "ip", "sparse")
@@ -41,7 +45,7 @@ def test_kernel_reference_and_oracle_agree(monkeypatch, n, k, with_shifts, table
     assert_all_agree(table, n, k, with_shifts)
     # sub-batches of one coset and direction blocks of a few: ties and
     # early exits across block boundaries
-    monkeypatch.setattr(_pykern, "BLOCK_CELLS", 3)
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 3)
     monkeypatch.setattr(verify, "REFERENCE_CELLS", 1 << (n + 2))
     assert_all_agree(table, n, k, with_shifts)
 
@@ -83,7 +87,7 @@ LOCKED = [
 @pytest.mark.parametrize("cap", [None, 3])
 def test_locked_values_under_any_cell_cap(monkeypatch, cap):
     if cap is not None:
-        monkeypatch.setattr(_pykern, "BLOCK_CELLS", cap)
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", cap)
         monkeypatch.setattr(verify, "REFERENCE_CELLS", cap)
     for (definition, k, with_shifts, table), value, witness in LOCKED:
         if table == "ip":
@@ -95,3 +99,71 @@ def test_locked_values_under_any_cell_cap(monkeypatch, cap):
             rep = directional_bias(table, 6, k, definition=definition,
                                    with_shifts=with_shifts, cross_check=True)
         assert (rep.value, rep.witness) == (value, witness)
+
+
+def _u64(rows) -> np.ndarray:
+    return np.array(rows, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n,k", SHAPES)
+def test_condenser_sweep_matches_oracle(n, k):
+    """Every k-dim subspace of F2^n, m_out 1-8, 1-7 maps, every threshold."""
+    rng = random.Random(f"condenser-{n}-{k}")
+    bases = list(raw_rref_bases(n, k))
+    for m_out in range(1, 9):
+        n_maps = 1 + (m_out + n + k) % 7
+        maps = [[rng.getrandbits(m_out) for _ in range(n)] for _ in range(n_maps)]
+        for threshold in range(m_out + 1):
+            want = raw_condenser_sweep(bases, maps, threshold)
+            got = _kernels.condenser_sweep(_u64(bases), _u64(maps), m_out, threshold)
+            assert got == want, (m_out, maps, threshold)
+
+
+def test_condenser_sweep_random_chunks():
+    """Unreduced, possibly dependent basis rows at n = 7 and 8."""
+    rng = random.Random(7)
+    for n in (7, 8):
+        for k in range(1, n + 1):
+            m_out = rng.randint(1, 8)
+            bases = [[rng.getrandbits(n) for _ in range(k)] for _ in range(60)]
+            maps = [[rng.getrandbits(m_out) for _ in range(n)]
+                    for _ in range(rng.randint(1, 7))]
+            threshold = rng.randint(0, m_out)
+            got = _kernels.condenser_sweep(_u64(bases), _u64(maps), m_out, threshold)
+            assert got == raw_condenser_sweep(bases, maps, threshold), (n, k)
+
+
+def test_condenser_sweep_first_minimum_wins():
+    # the map drops coordinate 2: span{e0, e1} keeps rank 2, while
+    # span{e0, e2} and span{e1, e2} both fall to rank 1
+    bases = [(0b001, 0b010), (0b001, 0b100), (0b010, 0b100)]
+    maps = [(0b01, 0b10, 0b00)]
+    assert raw_condenser_sweep(bases, maps, 2) == (1, 1, 2)
+    assert _kernels.condenser_sweep(_u64(bases), _u64(maps), 2, 2) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 63, 64, 65, 130])
+def test_rank_words_matches_oracle(width):
+    rng = random.Random(width)
+    for count in sorted({0, 1, 2, width - 1, width, width + 1, 2 * width}):
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        assert _kernels.rank_words(rows, width) == raw_rank(rows), count
+        # dependent rows: sums of at most width // 2 generators
+        span = [rng.getrandbits(width) for _ in range(width // 2)]
+        combos = [0] * count
+        for i in range(count):
+            for v in span:
+                if rng.getrandbits(1):
+                    combos[i] ^= v
+        assert _kernels.rank_words(combos, width) == raw_rank(combos), count
+
+
+def test_rank_words_takes_more_than_256_rows():
+    # 260 rows in the span of the 32 even coordinates, then the 32 odd
+    # unit vectors: the rank reaches 64 only after row 256
+    rng = random.Random(256)
+    even = 0x5555_5555_5555_5555
+    rows = [rng.getrandbits(64) & even for _ in range(260)]
+    rows += [1 << i for i in range(1, 64, 2)]
+    assert raw_rank(rows) == 64
+    assert _kernels.rank_words(rows, 64) == 64
