@@ -141,6 +141,26 @@ def stat_distance(d1: ExactDist, d2: ExactDist) -> Fraction:
     return total / 2
 
 
+def uniform_given_distance(counts: Mapping[int, int], m: int) -> Fraction:
+    """Exact distance of (Z, C) from (U_m, C), from integer counts keyed
+    z | c << m; absent outcomes count 0.
+
+    (U_m, C) puts count(c) / 2^m on each (z, c), so over the common
+    denominator total * 2^m the outcome (z, c) contributes
+    |count(z, c) * 2^m - count(c)|, where count(c) sums the row of c.
+    """
+    rows: dict[int, list[int]] = {}
+    for key, c in counts.items():
+        rows.setdefault(key >> m, []).append(c)
+    acc = total = 0
+    for row in rows.values():
+        marginal = sum(row)
+        total += marginal
+        acc += sum(abs((c << m) - marginal) for c in row)
+        acc += ((1 << m) - len(row)) * marginal  # the absent z of this row
+    return Fraction(acc, (total << m) * 2)
+
+
 def distance_from_uniform(d: ExactDist) -> Fraction:
     m = d.outcome_bits
     u = Fraction(1, 1 << m)

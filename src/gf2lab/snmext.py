@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 from .affine import AffineSource
 from .bits import BitVec, parity
+from .dist import uniform_given_distance
 from .gf2k import GF2kField
 from .subspaces import BudgetExceeded
 
@@ -133,7 +134,6 @@ def verify_nonmalleability(
         )
 
     counts: dict[int, int] = {}
-    marg: dict[int, int] = {}
     for x in source.support():
         for y in range(n_seeds):
             vy, va = masks[y]
@@ -144,25 +144,7 @@ def verify_nonmalleability(
                 zp |= parity(x & va[pos]) << pos
             key = z | (zp << m) | (y << (2 * m))
             counts[key] = counts.get(key, 0) + 1
-            mkey = zp | (y << m)
-            marg[mkey] = marg.get(mkey, 0) + 1
-
-    # distance = 1/2 sum over (z, z', y) of |P1 - P2|,
-    # P2(z, z', y) = 2^-m * P(z', y): integer arithmetic over the common
-    # denominator total * 2^m
-    acc = 0
-    seen = set()
-    for key, c in counts.items():
-        z = key & ((1 << m) - 1)
-        rest = key >> m
-        acc += abs((c << m) - marg.get(rest, 0))
-        seen.add(key)
-    for mkey, c in marg.items():
-        for z in range(1 << m):
-            key = z | (mkey << m)
-            if key not in seen:
-                acc += c
-    distance = Fraction(acc, (total << m) * 2)
+    distance = uniform_given_distance(counts, m)
     return NonMalleabilityReport(n, k_src, m, n_seeds, distance)
 
 
@@ -180,19 +162,16 @@ def verify_strongness(
         raise BudgetExceeded(f"{total} pairs exceed budget {budget}")
     field = GF2kField(n // 2)
     indices = tuple(range(1, m + 1))
-    acc = 0
+    counts: dict[int, int] = {}
     for y in range(n_seeds):
         masks = [query_vector(field, field.nonzero_element(y), i) for i in indices]
-        counts: dict[int, int] = {}
         for x in source.support():
             z = 0
             for pos in range(m):
                 z |= parity(x & masks[pos]) << pos
-            counts[z] = counts.get(z, 0) + 1
-        per_u = source.support_size()  # denominator scale: counts*2^m vs per_u
-        for z in range(1 << m):
-            acc += abs((counts.get(z, 0) << m) - per_u)
-    return Fraction(acc, (total << m) * 2)
+            key = z | (y << m)
+            counts[key] = counts.get(key, 0) + 1
+    return uniform_given_distance(counts, m)
 
 
 def is_linear_in_x(n: int, field: GF2kField | None = None) -> bool:

@@ -1,19 +1,30 @@
 """The measurement harness: directional bias, plain affine-extractor
 distance, disperser checks and eps-bias certification.
 
-Every exhaustive number can be recomputed by a second, structurally
-different brute-forcer.  The kernel path ANDs packed coset bitsets
-with a packed table of the directions and counts bits; `reference=True`
-instead sums every coset point for every direction as products of 0/1
-indicator matrices, and `cross_check=True` runs both and insists on
-exact agreement, witnesses included.  Witness tie-breaking
-is fixed: the lexicographically smallest (subspace index, shift,
-direction) in the canonical enumeration order wins.
+Each statistic is defined once, by its point evaluator at one
+(subspace, shift, direction): `xor_bias_at`, `joint_distance_at` and
+`affine_distance_at`, the two distances through the integer count
+`dist.uniform_given_distance`.  Sample mode evaluates each sampled
+(X, a) with them, and the m>1 sweeps walk (subspace index, shift,
+direction) in canonical order, calling them at every point; the
+disperser check takes the same walk with its own evaluator.
+
+The exhaustive m=1 sweeps run in the kernels instead, and they alone
+can be recomputed by a second, structurally different brute-forcer.
+The kernel path ANDs packed coset bitsets with a packed table of the
+directions and counts bits; `reference=True` instead sums every coset
+point for every direction as products of 0/1 indicator matrices, and
+`cross_check=True` runs both and insists on exact agreement,
+witnesses included.  `cross_check` and `reference` apply to
+exhaustive m=1 only and raise ValueError anywhere else.  Witness
+tie-breaking is fixed: the lexicographically smallest (subspace
+index, shift, direction) in the canonical enumeration order wins.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Sequence
@@ -23,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .affine import AffineSource
 from .bits import BitVec, GF2Matrix
-from .dist import ExactDist, distance_from_uniform
+from .dist import uniform_given_distance
 from .subspaces import (  # SWEEP_CHUNK re-exported for benchmark sizing
     SWEEP_CHUNK,  # noqa: F401
     BudgetExceeded,
@@ -81,7 +92,7 @@ def _f_words(table: Sequence[int], n: int) -> np.ndarray:
     )
 
 
-# -- point evaluators (witness re-verification) ---------------------------
+# -- point evaluators: each defines its statistic -------------------------
 
 
 def xor_bias_at(table: Sequence[int], rows: Sequence[int], shift: int, a: int) -> Fraction:
@@ -99,32 +110,48 @@ def affine_distance_at(table: Sequence[int], rows: Sequence[int], shift: int,
     for p in span_points(rows):
         v = table[p ^ shift] & ((1 << m) - 1)
         counts[v] = counts.get(v, 0) + 1
-    return distance_from_uniform(
-        ExactDist.from_counts(m, counts)
-    )
+    return uniform_given_distance(counts, m)
 
 
 def joint_distance_at(table: Sequence[int], rows: Sequence[int], shift: int,
                       a: int, m: int = 1) -> Fraction:
     mask = (1 << m) - 1
     counts: dict[int, int] = {}
-    marg: dict[int, int] = {}
-    size = 1 << len(rows)
     for p in span_points(rows):
         x = p ^ shift
-        u, v = table[x] & mask, table[x ^ a] & mask
-        counts[u | (v << m)] = counts.get(u | (v << m), 0) + 1
-        marg[v] = marg.get(v, 0) + 1
-    acc = 0
-    seen = set()
-    for key, c in counts.items():
-        acc += abs((c << m) - marg[key >> m])
-        seen.add(key)
-    for v, c in marg.items():
-        for u in range(1 << m):
-            if (u | (v << m)) not in seen:
-                acc += c
-    return Fraction(acc, (size << m) * 2)
+        key = (table[x] & mask) | ((table[x ^ a] & mask) << m)
+        counts[key] = counts.get(key, 0) + 1
+    return uniform_given_distance(counts, m)
+
+
+class _Lookup:
+    """Index access to a callable f, evaluated on demand and never tabulated."""
+
+    def __init__(self, f: Callable[[int], int]):
+        self.f = f
+
+    def __getitem__(self, x: int) -> int:
+        return self.f(x)
+
+
+def _first_max_walk(n: int, k: int, with_shifts: bool, directions: bool,
+                    at: Callable[[tuple, int, int], Fraction | int], stop=None):
+    """((value, subspace index, shift, direction), basis rows) of the
+    first strict maximizer of at(rows, shift, a) over (subspace index,
+    shift, direction) in canonical order, the shape `_kernel_sweep_m1`
+    returns; the direction is -1 when `directions` is false.  The walk
+    ends at the first value that reaches `stop`.
+    """
+    best, best_rows = None, ()
+    for si, rows in enumerate(iter_rref_bases(n, k)):
+        for shift in coset_reps(rows, n) if with_shifts else (0,):
+            for a in range(1, 1 << n) if directions else (-1,):
+                val = at(rows, shift, a)
+                if best is None or val > best[0]:
+                    best, best_rows = (val, si, shift, a), rows
+                    if stop is not None and val >= stop:
+                        return best, best_rows
+    return best, best_rows
 
 
 # -- reference brute-forcer for m=1: indicator-matrix products -------------
@@ -272,6 +299,10 @@ def _witness_dict(n: int, best, rows, value: Fraction) -> dict:
     return w
 
 
+# only the exhaustive m=1 sweeps have two brute-forcers
+_NO_SECOND_FORCER = "cross_check and reference apply to exhaustive m=1 sweeps only"
+
+
 def directional_bias(
     f,
     n: int,
@@ -293,12 +324,18 @@ def directional_bias(
     """
     if k < 1 or k > n:
         raise ValueError("k out of range")
+    if definition not in ("xor_bias", "joint"):
+        raise ValueError(f"unknown definition {definition!r}")
+    if definition == "xor_bias" and m != 1:
+        raise ValueError("xor bias is a single-bit notion")
+    if mode not in ("exhaustive", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if (cross_check or reference) and (mode == "sample" or m != 1):
+        raise ValueError(_NO_SECOND_FORCER)
     t0 = time.perf_counter()
     params = {"n": n, "k": k, "m": m, "definition": definition,
               "with_shifts": with_shifts}
     if mode == "exhaustive":
-        if definition == "xor_bias" and m != 1:
-            raise ValueError("xor bias is a single-bit notion")
         cost = _sweep_cost(n, k, with_shifts, True)
         if cost > budget:
             raise BudgetExceeded(f"sweep cost {cost} exceeds budget {budget}")
@@ -323,31 +360,28 @@ def directional_bias(
             value = (Fraction(best[0], span) if kind == "xor"
                      else Fraction(best[0], 2 * span))
         else:
-            best, rows, value = _generic_joint_sweep(table, n, k, m, with_shifts)
+            best, rows = _first_max_walk(
+                n, k, with_shifts, True,
+                lambda rows, shift, a: joint_distance_at(table, rows, shift, a, m))
+            value = best[0]
         report_value = str(value)
         witness = _witness_dict(n, best, rows, value)
         notes = "cross-checked by two brute-forcers" if cross_check else ""
-    elif mode == "sample":
+    else:
         if samples < 1:
             raise ValueError("need a positive sample count")
         import random as _random
 
         rng = _random.Random(seed)
-        fcall = f if callable(f) else None
+        lookup = _Lookup(f) if callable(f) else f
         best_val = Fraction(0)
         witness = None
         for _ in range(samples):
             src = AffineSource.random(n, k, rng)
             a = rng.randrange(1, 1 << n)
-            if definition == "xor_bias":
-                acc = 0
-                for x in src.support():
-                    fx = (fcall(x) if fcall else f[x]) & 1
-                    fxa = (fcall(x ^ a) if fcall else f[x ^ a]) & 1
-                    acc += 1 if fx ^ fxa else -1
-                val = Fraction(abs(acc), src.support_size())
-            else:
-                val = _sampled_joint(fcall, f, src, a, m)
+            rows, shift = src.basis.rows, src.shift.value
+            val = (xor_bias_at(lookup, rows, shift, a) if definition == "xor_bias"
+                   else joint_distance_at(lookup, rows, shift, a, m))
             if val > best_val:
                 best_val = val
                 witness = {
@@ -358,8 +392,6 @@ def directional_bias(
                 }
         report_value = str(best_val)
         notes = f"max over {samples} sampled (X, a); a lower bound on the true max"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return VerifyReport(
         property=f"directional_{definition}",
         params=params,
@@ -371,43 +403,6 @@ def directional_bias(
         runtime_seconds=time.perf_counter() - t0,
         notes=notes,
     )
-
-
-def _sampled_joint(fcall, f, src: AffineSource, a: int, m: int) -> Fraction:
-    mask = (1 << m) - 1
-    counts: dict[int, int] = {}
-    marg: dict[int, int] = {}
-    for x in src.support():
-        u = (fcall(x) if fcall else f[x]) & mask
-        v = (fcall(x ^ a) if fcall else f[x ^ a]) & mask
-        counts[u | (v << m)] = counts.get(u | (v << m), 0) + 1
-        marg[v] = marg.get(v, 0) + 1
-    size = src.support_size()
-    acc = 0
-    seen = set()
-    for key, c in counts.items():
-        acc += abs((c << m) - marg[key >> m])
-        seen.add(key)
-    for v, c in marg.items():
-        for u in range(1 << m):
-            if (u | (v << m)) not in seen:
-                acc += c
-    return Fraction(acc, (size << m) * 2)
-
-
-def _generic_joint_sweep(table, n, k, m, with_shifts):
-    best, best_rows = (-1, -1, -1, -1), ()
-    best_val = Fraction(-1)
-    si = -1
-    for rows in iter_rref_bases(n, k):
-        si += 1
-        for shift in coset_reps(rows, n) if with_shifts else (0,):
-            for a in range(1, 1 << n):
-                val = joint_distance_at(table, rows, shift, a, m)
-                if val > best_val:
-                    best_val = val
-                    best, best_rows = (0, si, shift, a), rows
-    return best, best_rows, best_val
 
 
 def affine_extractor_distance(
@@ -426,6 +421,8 @@ def affine_extractor_distance(
     t0 = time.perf_counter()
     if mode != "exhaustive":
         raise ValueError("only exhaustive mode is implemented here")
+    if cross_check and m != 1:
+        raise ValueError(_NO_SECOND_FORCER)
     cost = _sweep_cost(n, k, with_shifts, False)
     if cost > budget:
         raise BudgetExceeded(f"sweep cost {cost} exceeds budget {budget}")
@@ -442,17 +439,10 @@ def affine_extractor_distance(
         best, best_rows = runs[0][1]
         value = Fraction(best[0], 2 << k)
     else:
-        best_val = Fraction(-1)
-        best, best_rows = (-1, -1, -1, -1), ()
-        si = -1
-        for rows in iter_rref_bases(n, k):
-            si += 1
-            for shift in coset_reps(rows, n) if with_shifts else (0,):
-                val = affine_distance_at(table, rows, shift, m)
-                if val > best_val:
-                    best_val = val
-                    best, best_rows = (0, si, shift, -1), rows
-        value = best_val
+        best, best_rows = _first_max_walk(
+            n, k, with_shifts, False,
+            lambda rows, shift, a: affine_distance_at(table, rows, shift, m))
+        value = best[0]
     return VerifyReport(
         property="affine_extractor_distance",
         params={"n": n, "k": k, "m": m, "with_shifts": with_shifts},
@@ -474,6 +464,8 @@ def disperser_check(
 ) -> VerifyReport:
     """For every (X, a): some b has full conditional support
     |Supp(f(X) | f(X+a) = b)| = 2^m."""
+    if k < 1 or k > n:
+        raise ValueError("k out of range")
     t0 = time.perf_counter()
     cost = _sweep_cost(n, k, True, True)
     if cost > budget:
@@ -481,45 +473,34 @@ def disperser_check(
     table = as_table(f, n)
     mask = (1 << m) - 1
     full = (1 << (1 << m)) - 1
-    si = -1
-    for rows in iter_rref_bases(n, k):
-        si += 1
-        pts = span_points(rows)
-        for shift in coset_reps(rows, n):
-            for a in range(1, 1 << n):
-                seen: dict[int, int] = {}
-                ok = False
-                for p in pts:
-                    x = p ^ shift
-                    u, v = table[x] & mask, table[x ^ a] & mask
-                    got = seen.get(v, 0) | (1 << u)
-                    seen[v] = got
-                    if got == full:
-                        ok = True
-                        break
-                if not ok:
-                    return VerifyReport(
-                        property="directional_disperser",
-                        params={"n": n, "k": k, "m": m},
-                        mode="exhaustive",
-                        value="fail",
-                        radius=None,
-                        witness={
-                            "basis": GF2Matrix(rows, n).to_text(),
-                            "shift": BitVec(n, shift).to_hex(),
-                            "direction": BitVec(n, a).to_hex(),
-                        },
-                        passed=False,
-                        runtime_seconds=time.perf_counter() - t0,
-                    )
+    # the walk visits every (shift, a) of one subspace in a row
+    points = lru_cache(maxsize=1)(span_points)
+
+    def no_full_support(rows, shift, a) -> int:
+        seen: dict[int, int] = {}
+        for p in points(rows):
+            x = p ^ shift
+            u, v = table[x] & mask, table[x ^ a] & mask
+            got = seen.get(v, 0) | (1 << u)
+            if got == full:
+                return 0
+            seen[v] = got
+        return 1
+
+    (failed, _, shift, a), rows = _first_max_walk(
+        n, k, True, True, no_full_support, stop=1)
     return VerifyReport(
         property="directional_disperser",
         params={"n": n, "k": k, "m": m},
         mode="exhaustive",
-        value="pass",
+        value="fail" if failed else "pass",
         radius=None,
-        witness=None,
-        passed=True,
+        witness={
+            "basis": GF2Matrix(rows, n).to_text(),
+            "shift": BitVec(n, shift).to_hex(),
+            "direction": BitVec(n, a).to_hex(),
+        } if failed else None,
+        passed=not failed,
         runtime_seconds=time.perf_counter() - t0,
     )
 
@@ -546,7 +527,6 @@ def eps_bias_check(
     for x in src.support():
         v = (f(x) if table is None else table[x]) & mask
         counts[v] = counts.get(v, 0) + 1
-    joint = ExactDist.from_counts(m, counts)
     max_bias = Fraction(0)
     worst_subset = 0
     for s in range(1, 1 << m):
@@ -557,7 +537,7 @@ def eps_bias_check(
         if bias > max_bias:
             max_bias = bias
             worst_subset = s
-    measured = distance_from_uniform(joint)
+    measured = uniform_given_distance(counts, m)
     # measured <= max_bias * 2^(m/2), squared to stay rational
     ok = measured * measured <= max_bias * max_bias * (1 << m)
     return VerifyReport(

@@ -2,6 +2,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from gf2lab.bits import BitVec
 from gf2lab.cli import main, stable_json
 from gf2lab.lbp import parity_program
@@ -107,6 +109,13 @@ class TestVerifyCli:
                     "--samples", 3, "--seed", 42, "--out", out]) == 0
         rep = json.loads(out.read_text())
         assert rep["mode"] == "sample" and Fraction(rep["value"]) <= 1
+
+    def test_cross_check_refused_without_two_brute_forcers(self):
+        base = ["verify", "directional", "--f", "builtin:parity", "--n", 4,
+                "--k", 2, "--definition", "joint", "--cross-check"]
+        for extra in (["--m", 2], ["--samples", 3]):
+            with pytest.raises(ValueError, match="exhaustive m=1"):
+                run(base + extra)
 
 
 class TestInjectorCli:

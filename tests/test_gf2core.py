@@ -13,6 +13,7 @@ from gf2lab.dist import (
     min_entropy_closeness,
     min_entropy_distance,
     stat_distance,
+    uniform_given_distance,
 )
 from gf2lab.subspaces import (
     BudgetExceeded,
@@ -230,6 +231,36 @@ class TestStatDistance:
             table = [rng.randrange(4) for _ in range(8)]
             f = lambda v: table[v]
             assert stat_distance(d1.map(f, 2), d2.map(f, 2)) <= stat_distance(d1, d2)
+
+
+class TestUniformGivenDistance:
+    def test_equals_distance_to_uniform_times_marginal(self):
+        # independent route: the full joint table of (Z, C) against
+        # U_m x (marginal of C), through ExactDist and stat_distance
+        rng = random.Random(113)
+        for m in (1, 2, 3):
+            for c_bits in (0, 1, 2, 3):
+                for _ in range(8):
+                    keys = range(1 << (m + c_bits))
+                    counts = {key: rng.randrange(1, 6) for key in keys
+                              if rng.random() < 0.6}
+                    counts[rng.choice(keys)] = rng.randrange(1, 6)
+                    for key in rng.sample(keys, 2):
+                        counts.setdefault(key, 0)  # a present zero is absent
+                    marginal: dict[int, int] = {}
+                    for key, c in counts.items():
+                        marginal[key >> m] = marginal.get(key >> m, 0) + c
+                    want = stat_distance(
+                        ExactDist.from_counts(m + c_bits, counts),
+                        ExactDist.uniform(m).joint(
+                            ExactDist.from_counts(c_bits, marginal)),
+                    )
+                    assert uniform_given_distance(counts, m) == want
+
+    def test_extremes(self):
+        assert uniform_given_distance({0: 3, 1: 3, 2: 5, 3: 5}, 1) == 0
+        # Z fixed given C: 1 - 2^-m, whatever the marginal
+        assert uniform_given_distance({0b000: 1, 0b101: 7}, 2) == Fraction(3, 4)
 
 
 class TestAnf:

@@ -171,3 +171,12 @@ class TestStrongness:
     def test_low_rate_source_leaks(self):
         src = default_source(8, 1)
         assert verify_strongness(8, src, 2) > 0
+
+    @pytest.mark.parametrize("n,k_src,m,want", [
+        (8, 1, 2, Fraction(21, 32)),
+        (8, 3, 1, Fraction(1, 16)),
+        (8, 3, 2, Fraction(1, 16)),
+        (10, 4, 3, Fraction(13, 64)),
+    ])
+    def test_nonzero_distances_locked(self, n, k_src, m, want):
+        assert verify_strongness(n, default_source(n, k_src), m) == want

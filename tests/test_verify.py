@@ -85,6 +85,37 @@ class TestDirectionalBias:
                                    mode="sample", samples=30, seed=5)
         assert Fraction(sampled.value) <= exact
 
+    def test_sampled_callable_equals_its_table(self):
+        rng = random.Random(405)
+        for definition, m in (("xor_bias", 1), ("joint", 1), ("joint", 2)):
+            table = [rng.getrandbits(m) for _ in range(64)]
+            reps = [directional_bias(f, 6, 3, definition=definition, m=m,
+                                     mode="sample", samples=12, seed=9)
+                    for f in (table, lambda x: table[x])]
+            assert reps[0].value == reps[1].value
+            assert reps[0].witness == reps[1].witness
+
+    def test_unknown_definition_raises_in_both_modes(self):
+        for kw in ({}, {"mode": "sample", "samples": 3}):
+            with pytest.raises(ValueError, match="definition"):
+                directional_bias(lambda x: 0, 4, 2, definition="bogus", **kw)
+
+    def test_xor_bias_is_single_bit_in_both_modes(self):
+        for kw in ({}, {"mode": "sample", "samples": 3}):
+            with pytest.raises(ValueError, match="single-bit"):
+                directional_bias(lambda x: 3, 4, 2, definition="xor_bias",
+                                 m=2, **kw)
+
+    def test_second_brute_forcer_only_for_exhaustive_m1(self):
+        table = [x & 3 for x in range(16)]
+        for kw in ({"m": 2}, {"mode": "sample", "samples": 3}):
+            for flag in ("cross_check", "reference"):
+                with pytest.raises(ValueError, match="exhaustive m=1"):
+                    directional_bias(table, 4, 2, definition="joint",
+                                     **kw, **{flag: True})
+        with pytest.raises(ValueError, match="exhaustive m=1"):
+            affine_extractor_distance(table, 4, 2, m=2, cross_check=True)
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
             directional_bias(lambda x: 0, 12, 6, budget=1000)
@@ -120,6 +151,30 @@ class TestDirectionalBias:
         a = BitVec.from_hex(rep.witness["direction"]).value
         assert str(joint_distance_at(table, basis.rows, shift, a, 2)) == rep.value
 
+    def test_m2_witnesses_are_first_maximizers(self):
+        # the m>1 sweeps keep the first maximizer in (subspace index,
+        # shift, direction) order, as the m=1 kernels do
+        rng = random.Random(406)
+        table = [rng.getrandbits(2) for _ in range(32)]
+        joint = lambda rows, shift, a: joint_distance_at(table, rows, shift, a, 2)
+        affine = lambda rows, shift, a: affine_distance_at(table, rows, shift, 2)
+        for rep, at, directions in (
+            (directional_bias(table, 5, 3, definition="joint", m=2), joint, range(1, 32)),
+            (affine_extractor_distance(table, 5, 3, m=2), affine, (None,)),
+        ):
+            points = [(at(rows, shift, a), si, shift, a)
+                      for si, rows in enumerate(iter_rref_bases(5, 3))
+                      for shift in coset_reps(rows, 5)
+                      for a in directions]
+            best = max(p[0] for p in points)
+            first = next(p for p in points if p[0] == best)
+            assert sum(p[0] == best for p in points) > 1  # ties to break
+            w = rep.witness
+            direction = w.get("direction")
+            assert first == (Fraction(rep.value), w["subspace_index"],
+                             BitVec.from_hex(w["shift"]).value,
+                             direction and BitVec.from_hex(direction).value)
+
 
 class TestAffineDistance:
     def test_output_bit_of_identity_is_exact(self):
@@ -154,6 +209,14 @@ class TestDisperser:
         # f(x+a) = f(x) + const, collapsing every conditional support
         rep = disperser_check(builtin_function("ip", 6), 6, 5)
         assert not rep.passed
+        # the first failing (subspace, shift, direction) in canonical order
+        assert rep.witness == {"basis": "5 6\n01\n02\n04\n08\n10\n",
+                               "shift": "6:00", "direction": "6:04"}
+
+    def test_k_out_of_range(self):
+        for k in (0, 5):
+            with pytest.raises(ValueError, match="k out of range"):
+                disperser_check(lambda x: 0, 4, k)
 
     def test_constant_fails_with_witness(self):
         rep = disperser_check(lambda x: 1, 4, 2)
