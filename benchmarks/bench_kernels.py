@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Time the four hot sweep kernels over the k-dim subspaces of F2^n.
 
-Streams the subspaces through the sweep driver, runs each sweep on
-every chunk, and prints the summed time, the chunk count and the peak
-RSS.  Memory stays at one chunk of bases, so large enumerations are
-limited by time, not by memory.  Each chunk is its own kernel call.
-Like the library's sweeps, a bias sweep stops after the first chunk
-whose result reaches the largest possible value; `sweep_chunks` grows
-its chunks from 64 bases, so early-exit rows time only the first small
-chunks.  The kernels' agreement with independent oracles is tested in
+Streams the subspaces from `rref_blocks` through the sweep driver,
+runs each sweep on every chunk, and prints the summed time, the chunk
+count and the peak RSS.  Memory stays at one chunk of bases, so large
+enumerations are limited by time, not by memory.  Each chunk is its
+own kernel call.  Like the library's sweeps, a bias sweep stops after
+the first chunk whose result reaches the largest possible value;
+`rref_blocks` grows its blocks from 64 bases, so early-exit rows time
+only the first small chunks.  The kernels' agreement with independent oracles is tested in
 tests/test_kernels.py.
 
     python benchmarks/bench_kernels.py [--n 8] [--k 4] [--repeat 1]
@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from gf2lab import _kernels
-from gf2lab.subspaces import gaussian_binomial, iter_rref_bases, sweep_chunks
+from gf2lab.subspaces import gaussian_binomial, rref_blocks, sweep_chunks
 
 
 def timed(chunk, call, repeat):
@@ -41,7 +41,7 @@ def bench(label, call, n, k, repeat, stop=None):
     chunk whose result's first entry equals it."""
     total = 0.0
     chunks = 0
-    for _, _, (res, t) in sweep_chunks(iter_rref_bases(n, k), timed, call, repeat):
+    for _, _, (res, t) in sweep_chunks(rref_blocks(n, k), timed, call, repeat):
         chunks += 1
         total += t
         if stop is not None and res[0] == stop:

@@ -4,9 +4,17 @@ Scan order inside every sweep is (subspace, shift, direction), and the
 first strict maximizer wins, so witnesses follow the canonical
 enumeration order of `gf2lab.subspaces`.
 
-`rank_words` eliminates by highest set bit and takes any number of
-rows.  `condenser_sweep` takes, for each basis, the max over the maps
-of the rank of the basis's image, then the first minimum over bases.
+The rank sweeps share one primitive, `batched_rank`: Gaussian
+elimination over GF(2) run across a whole batch at once, each reduced
+row clearing its lowest set bit from the rows after it.  Images come
+from byte tables: for each map, ceil(n/8) tables of 256 words hold the
+image of every byte value at every byte position, so a chunk's images
+are one gather and XOR per input byte, and no table grows with 2^n.
+`condenser_sweep` keeps a running max over the maps of each basis's
+image rank, then takes the first minimum over bases; `pooled_ranks`
+ranks the images under all maps together, for the expander checks.
+`rank_words` is the scalar elimination, by highest set bit, for the
+callers that rank one list of rows.
 
 The m=1 sweeps take a whole chunk of bases at once and work through
 its cosets in sub-batches.  The xor and joint sweeps AND packed uint64
@@ -31,10 +39,6 @@ BACKEND = "numpy"  # the only implementation; benchmark reports print it
 BLOCK_CELLS = 1 << 14
 
 
-def _to_int_rows(bases) -> list[tuple[int, ...]]:
-    return [tuple(int(w) for w in row) for row in bases]
-
-
 def rank_words(rows: Sequence[int], width: int) -> int:
     piv = [0] * (width + 1)
     rank = 0
@@ -51,40 +55,94 @@ def rank_words(rows: Sequence[int], width: int) -> int:
     return rank
 
 
+def _uint(width: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds `width` bits."""
+    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if width <= 8 * np.dtype(dt).itemsize:
+            return np.dtype(dt)
+    raise ValueError(f"{width}-bit rows do not fit in 64 bits")
+
+
+def batched_rank(rows) -> np.ndarray:
+    """GF(2) rank of every batch of rows: (..., r) unsigned ints -> (...).
+
+    Row i, once reduced, clears its lowest set bit p = v & (~v + 1) from
+    each later row that holds it.  The reduced non-zero rows then have
+    distinct lowest bits, so they are independent, and the rank is
+    their count.
+    """
+    m = np.moveaxis(np.asarray(rows), -1, 0).copy()
+    for i in range(len(m) - 1):
+        v = m[i]
+        p = v & (~v + 1)
+        tail = m[i + 1:]
+        tail ^= v * (tail & p != 0)
+    return np.count_nonzero(m, axis=0)
+
+
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1  # bit t of byte v
+
+
+def byte_tables(map_cols, width: int) -> np.ndarray:
+    """(maps, ceil(n/8), 256) images of each byte of the input.
+
+    map_cols: (maps, n) packed columns, column j of a map as a
+    `width`-bit int.  Entry [m, b, v] is map m applied to the byte v
+    at bits 8b .. 8b+7, in the narrowest dtype that holds `width` bits.
+    """
+    n_maps, n = np.shape(map_cols)
+    n_bytes = max(1, -(-n // 8))
+    cols = np.zeros((n_maps, 8 * n_bytes), dtype=_uint(width))
+    cols[:, :n] = map_cols
+    terms = _BYTE_BITS.astype(cols.dtype) * cols.reshape(n_maps, n_bytes, 1, 8)
+    return np.bitwise_xor.reduce(terms, axis=-1)
+
+
+def _byte_indices(bases, n_bytes: int) -> list[np.ndarray]:
+    rows = np.asarray(bases, dtype=np.uint64)
+    return [((rows >> (8 * b)) & 0xFF).astype(np.intp) for b in range(n_bytes)]
+
+
+def _images(tab: np.ndarray, idx: list[np.ndarray]) -> np.ndarray:
+    """One map's images of the rows whose bytes are `idx`."""
+    img = tab[0][idx[0]]
+    for b in range(1, len(idx)):
+        img ^= tab[b][idx[b]]
+    return img
+
+
 def condenser_sweep(bases, map_cols, m_out: int, threshold: int):
     """Min over subspaces of (max over row maps of image rank).
 
     bases: (ns, k) packed basis rows; map_cols: (n_maps, n) packed
     columns (column j of map M as an m_out-bit int).  Returns
-    (min_best, argmin_index, count_below_threshold).
+    (min_best, argmin_index, count_below_threshold).  A basis leaves
+    the running max once it reaches min(k, m_out), the highest rank
+    any map can give it.
     """
-    rows_list = _to_int_rows(bases)
-    cols_list = _to_int_rows(map_cols)
-    min_best = -1
-    argmin = -1
-    below = 0
-    for si, rows in enumerate(rows_list):
-        best = 0
-        for cols in cols_list:
-            imgs = []
-            for r in rows:
-                img = 0
-                t = r
-                while t:
-                    img ^= cols[(t & -t).bit_length() - 1]
-                    t &= t - 1
-                imgs.append(img)
-            rk = rank_words(imgs, m_out)
-            if rk > best:
-                best = rk
-                if best == m_out:
-                    break
-        if best < threshold:
-            below += 1
-        if min_best < 0 or best < min_best:
-            min_best = best
-            argmin = si
-    return min_best, argmin, below
+    ns, k = np.shape(bases)
+    if ns == 0:
+        return -1, -1, 0
+    tabs = byte_tables(map_cols, m_out)
+    idx = _byte_indices(bases, tabs.shape[1])
+    best = np.zeros(ns, dtype=np.intp)
+    live = np.arange(ns)
+    for tab in tabs:
+        ranks = batched_rank(_images(tab, [i[live] for i in idx]))
+        best[live] = np.maximum(best[live], ranks)
+        live = live[best[live] < min(k, m_out)]
+        if not len(live):
+            break
+    argmin = int(np.argmin(best))
+    return int(best[argmin]), argmin, int(np.count_nonzero(best < threshold))
+
+
+def pooled_ranks(bases, tabs: np.ndarray) -> np.ndarray:
+    """(ns,) ranks of T_1(V) + ... + T_d(V) for each basis of V: the
+    images under every map, from the maps' `byte_tables`, pooled into
+    (ns, d*k) rows."""
+    idx = _byte_indices(bases, tabs.shape[1])
+    return batched_rank(np.concatenate([_images(tab, idx) for tab in tabs], axis=1))
 
 
 def _bits(f_words, n: int) -> np.ndarray:

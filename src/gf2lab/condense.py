@@ -25,7 +25,8 @@ from .subspaces import (  # SWEEP_CHUNK re-exported for benchmark sizing
     SWEEP_CHUNK,  # noqa: F401
     BudgetExceeded,
     gaussian_binomial,
-    iter_rref_bases,
+    pack_bases,
+    rref_blocks,
     sweep_chunks,
 )
 
@@ -247,19 +248,19 @@ class AffineCondenserReport:
 
 
 def min_rank_fold(
-    bases: Iterable[Sequence[int]], map_cols: np.ndarray, m_out: int,
+    blocks: Iterable[np.ndarray], map_cols: np.ndarray, m_out: int,
     threshold: int, workers: int = 1,
 ) -> tuple[int, int, tuple[int, ...] | None, int]:
-    """Stream `bases` through `condenser_sweep`.
+    """Stream blocks of bases through `condenser_sweep`.
 
     Returns (bases checked, min over them of the best map's image rank,
     the first basis attaining that min, count below threshold); the min
-    is -1 and the basis None when `bases` is empty.
+    is -1 and the basis None when there are no bases.
     """
     checked = failures = 0
     min_best, argmin_rows = -1, None
     for offset, chunk, (best, idx, below) in sweep_chunks(
-        bases, condenser_sweep, map_cols, m_out, threshold, workers=workers
+        blocks, condenser_sweep, map_cols, m_out, threshold, workers=workers
     ):
         failures += below
         if min_best < 0 or best < min_best:
@@ -290,7 +291,7 @@ def verify_affine_condenser(
         total = gaussian_binomial(cond.n_in, k)
         if total > budget:
             raise BudgetExceeded(f"{total} subspaces exceed budget {budget}")
-        bases_iter = iter_rref_bases(cond.n_in, k)
+        blocks = rref_blocks(cond.n_in, k)
     elif mode == "sampled":
         if rng is None or samples <= 0:
             raise ValueError("sampled mode needs rng and samples > 0")
@@ -303,12 +304,12 @@ def verify_affine_condenser(
                         yield m.row_basis().rows
                         break
 
-        bases_iter = _sample()
+        blocks = pack_bases(_sample())
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     checked, min_best, argmin_rows, failures = min_rank_fold(
-        bases_iter, map_cols, cond.m_out, threshold, workers)
+        blocks, map_cols, cond.m_out, threshold, workers)
     witness = GF2Matrix(argmin_rows, cond.n_in) if argmin_rows else None
     return AffineCondenserReport(
         kind=cond.kind,

@@ -9,14 +9,17 @@ literature constant.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from ._kernels import rank_words
+import numpy as np
+
+from ._kernels import byte_tables, pooled_ranks, rank_words
 from .bits import GF2Matrix
-from .subspaces import BudgetExceeded, enumerate_subspaces, gaussian_binomial
+from .subspaces import BudgetExceeded, gaussian_binomial, rref_blocks, sweep_chunks
 
 DEFAULT_DEGREE = 3  # smallest degree the condensing argument tolerates
 EXHAUSTIVE_CAP = 1 << 22
@@ -74,6 +77,19 @@ def _subspace_budget(n: int) -> int:
     return sum(gaussian_binomial(n, k) for k in range(1, n // 2 + 1))
 
 
+def _rank_sweeps(
+    maps: Sequence[GF2Matrix], n: int, budget: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(k, chunk, ranks of the pooled images) over every subspace with
+    dim in [1, n/2], in canonical order, k by k."""
+    if _subspace_budget(n) > budget:
+        raise BudgetExceeded(f"exhaustive certification infeasible at n={n}")
+    tabs = byte_tables([m.transpose().rows for m in maps], n)
+    for k in range(1, n // 2 + 1):
+        for _, chunk, ranks in sweep_chunks(rref_blocks(n, k), pooled_ranks, tabs):
+            yield k, chunk, ranks
+
+
 def verify_dimension_expander(
     maps: Sequence[GF2Matrix],
     alpha: Fraction,
@@ -85,13 +101,13 @@ def verify_dimension_expander(
     Returns (ok, witness); the witness is the first violating subspace
     in canonical enumeration order.
     """
-    if _subspace_budget(n) > budget:
-        raise BudgetExceeded(f"exhaustive certification infeasible at n={n}")
-    for k in range(1, n // 2 + 1):
-        for basis in enumerate_subspaces(n, k):
-            rows = [m.mul_vec(r) for m in maps for r in basis.rows]
-            if Fraction(rank_words(rows, n), k) < 1 + alpha:
-                return False, basis
+    for k, chunk, ranks in _rank_sweeps(maps, n, budget):
+        # rank / k < 1 + alpha  <=>  rank < ceil(k (1 + alpha)), clamped
+        # to [0, n + 1] so the bound fits the ranks' dtype
+        bound = max(0, min(math.ceil(k * (1 + alpha)), n + 1))
+        bad = np.flatnonzero(ranks < bound)
+        if len(bad):
+            return False, GF2Matrix(tuple(int(r) for r in chunk[bad[0]]), n)
     return True, None
 
 
@@ -99,17 +115,10 @@ def certified_alpha(
     maps: Sequence[GF2Matrix], n: int, budget: int = EXHAUSTIVE_CAP
 ) -> Fraction:
     """Exact best alpha: min over V of dim(sum T_i(V))/dim(V) - 1."""
-    if _subspace_budget(n) > budget:
-        raise BudgetExceeded(f"exhaustive certification infeasible at n={n}")
-    best: Fraction | None = None
-    for k in range(1, n // 2 + 1):
-        for basis in enumerate_subspaces(n, k):
-            rows = [m.mul_vec(r) for m in maps for r in basis.rows]
-            ratio = Fraction(rank_words(rows, n), k)
-            if best is None or ratio < best:
-                best = ratio
-    assert best is not None
-    return best - 1
+    if n < 2:
+        raise ValueError(f"no subspace of dimension 1 to n/2 at n={n}")
+    return min(Fraction(int(ranks.min()), k)
+               for k, _, ranks in _rank_sweeps(maps, n, budget)) - 1
 
 
 def sampled_alpha(

@@ -32,7 +32,9 @@ import numpy as np
 
 from .bits import GF2Matrix
 from .condense import min_rank_fold
-from .subspaces import BudgetExceeded, gaussian_binomial, iter_rref_bases, span_points
+from .subspaces import BudgetExceeded, gaussian_binomial, rref_blocks, span_points
+# Unused here; perfbench's layer tracer still binds this name (ROADMAP item 7).
+from .subspaces import iter_rref_bases  # noqa: F401
 from .verify import directional_bias
 
 SUBSPACE_BUDGET = 1 << 21
@@ -102,7 +104,7 @@ def verify_injector(
     if k1 + k2 - 1 > n:
         return True, None
     map_cols = np.array([a.transpose().rows for a in inj.matrices], dtype=np.uint64)
-    _, min_best, rows, _ = min_rank_fold(iter_rref_bases(n, dim), map_cols, inj.d, dim)
+    _, min_best, rows, _ = min_rank_fold(rref_blocks(n, dim), map_cols, inj.d, dim)
     if min_best == dim:
         return True, None
     return False, (GF2Matrix(rows[:k1], n), GF2Matrix(rows[dim - k2:], n))

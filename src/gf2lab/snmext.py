@@ -155,6 +155,8 @@ def verify_strongness(
     budget: int = ENUM_BUDGET,
 ) -> Fraction:
     """Exact distance of (Z, Y) from (U_m, Y) with a uniform seed."""
+    if source.n != n:
+        raise ValueError("source shape mismatch")
     sb = seed_bits(n)
     n_seeds = 1 << sb
     total = source.support_size() * n_seeds

@@ -6,8 +6,17 @@ within one pattern the free entries in increasing integer order
 (free positions filled row-major).  Reports and witnesses rely on
 this order being stable, so it must never change.
 
-`sweep_chunks` is the one driver that streams such an enumeration
-through a sweep kernel in chunks.
+Two enumerators produce that order.  `rref_blocks` builds it as numpy
+blocks, one vector op per free bit of each pivot pattern, and feeds
+every exhaustive kernel sweep.  `iter_rref_bases` yields one tuple of
+int rows per subspace; it stays for the code that visits subspaces one
+at a time in Python (`enumerate_subspaces`, the m=1 reference scan,
+the m>1 walk, the benchmark's own checks), where a tuple is what the
+next line reads.
+
+`sweep_chunks` is the one driver that streams blocks of bases through
+a sweep kernel; `pack_bases` turns tuple bases (sampled ones, say)
+into such blocks.
 """
 from __future__ import annotations
 
@@ -20,10 +29,10 @@ import numpy as np
 
 from .bits import GF2Matrix
 
-# Most bases per kernel call.  The first chunk holds FIRST_CHUNK bases
-# (at most SWEEP_CHUNK) and each later one twice as many, up to
-# SWEEP_CHUNK, so a sweep that exits at its first subspace enumerates
-# FIRST_CHUNK bases, not SWEEP_CHUNK, before its kernel can stop.
+# Most bases per block.  The first block holds FIRST_CHUNK bases (at
+# most SWEEP_CHUNK) and each later one twice as many, up to SWEEP_CHUNK,
+# so a sweep that exits at its first subspace enumerates FIRST_CHUNK
+# bases, not SWEEP_CHUNK, before its kernel can stop.
 SWEEP_CHUNK = 1 << 13
 FIRST_CHUNK = 64
 
@@ -73,12 +82,57 @@ def enumerate_subspaces(n: int, k: int, budget: int | None = None) -> Iterator[G
         yield GF2Matrix(rows, n)
 
 
-def _packed(bases: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
-    it = iter(bases)
+def _chunk_sizes() -> Iterator[int]:
     size = min(FIRST_CHUNK, SWEEP_CHUNK)
-    while buf := list(islice(it, size)):
-        yield np.array(buf, dtype=np.uint64)
+    while True:
+        yield size
         size = min(2 * size, SWEEP_CHUNK)
+
+
+def rref_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """The bases of `iter_rref_bases(n, k)`, in the same order, as
+    (count, k) uint64 blocks of FIRST_CHUNK bases, then twice as many
+    each time, up to SWEEP_CHUNK; the last block holds the remainder.
+
+    Per pivot pattern, the fills are an `arange` over the pattern's
+    free positions, and bit t of every fill is moved to column j of its
+    row i, the t-th free position, with one shift and mask.  Blocks are
+    filled row-major as (k, count) and handed out transposed.  A block
+    is built only when the consumer asks for it.
+    """
+    sizes = _chunk_sizes()
+    buf = np.empty((k, next(sizes)), dtype=np.uint64)
+    pos = 0
+    for pivots in combinations(range(n), k):
+        free = [(i, j) for i, p in enumerate(pivots)
+                for j in range(p + 1, n) if j not in pivots]
+        total, f0 = 1 << len(free), 0
+        while f0 < total:
+            count = min(total - f0, buf.shape[1] - pos)
+            fills = np.arange(f0, f0 + count, dtype=np.uint64)
+            block = buf[:, pos:pos + count]
+            for i, p in enumerate(pivots):
+                block[i] = 1 << p
+            for t, (i, j) in enumerate(free):
+                bit = fills << (j - t) if j >= t else fills >> (t - j)
+                bit &= 1 << j
+                block[i] |= bit
+            pos, f0 = pos + count, f0 + count
+            if pos == buf.shape[1]:
+                yield buf.T
+                buf, pos = np.empty((k, next(sizes)), dtype=np.uint64), 0
+    if pos:
+        yield buf[:, :pos].T
+
+
+def pack_bases(bases: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
+    """Tuple bases as uint64 blocks sized like those of `rref_blocks`."""
+    it = iter(bases)
+    for size in _chunk_sizes():
+        buf = list(islice(it, size))
+        if not buf:
+            return
+        yield np.array(buf, dtype=np.uint64)
 
 
 def _call_kernel(kernel: Callable, args: tuple, chunk: np.ndarray):
@@ -86,24 +140,23 @@ def _call_kernel(kernel: Callable, args: tuple, chunk: np.ndarray):
 
 
 def sweep_chunks(
-    bases: Iterable[Sequence[int]], kernel: Callable, *args, workers: int = 1
+    blocks: Iterable[np.ndarray], kernel: Callable, *args, workers: int = 1
 ) -> Iterator[tuple[int, np.ndarray, object]]:
-    """Run `kernel(chunk, *args)` over `bases`, chunk by chunk.
+    """Run `kernel(chunk, *args)` on each block of bases.
 
-    Each chunk is a (count, k) uint64 array of consecutive bases; the
-    chunks grow from FIRST_CHUNK to SWEEP_CHUNK bases.  Yields
-    (offset, chunk, result) in enumeration order, where offset is the
-    index of the chunk's first basis, so a caller may stop early and
-    read witness rows straight from the chunk.  With workers > 1 the
-    chunks go through a process pool's `imap`, whose task feeder blocks
-    until a worker reads the previous chunk, so only a few chunks are
-    in memory at once.  The kernel and its args must then be picklable.
+    Each block is a (count, k) uint64 array of consecutive bases, from
+    `rref_blocks` or `pack_bases`.  Yields (offset, chunk, result) in
+    enumeration order, where offset is the index of the chunk's first
+    basis, so a caller may stop early and read witness rows straight
+    from the chunk.  With workers > 1 the chunks go through a process
+    pool's `imap`, whose task feeder blocks until a worker reads the
+    previous chunk, so only a few chunks are in memory at once.  The
+    kernel and its args must then be picklable.
     """
     run = partial(_call_kernel, kernel, args)
-    chunks = _packed(bases)
     offset = 0
     if workers <= 1:
-        for chunk in chunks:
+        for chunk in blocks:
             yield offset, chunk, run(chunk)
             offset += len(chunk)
         return
@@ -112,7 +165,7 @@ def sweep_chunks(
     sent: deque[np.ndarray] = deque()
 
     def feed() -> Iterator[np.ndarray]:
-        for chunk in chunks:
+        for chunk in blocks:
             sent.append(chunk)
             yield chunk
 

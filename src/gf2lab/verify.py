@@ -42,6 +42,7 @@ from .subspaces import (  # SWEEP_CHUNK re-exported for benchmark sizing
     gaussian_binomial,
     iter_rref_bases,
     pivot_mask_of_rref,
+    rref_blocks,
     span_points,
     sweep_chunks,
 )
@@ -252,7 +253,7 @@ def _kernel_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
     }[kind]
     best, best_rows = (-1, -1, -1, -1), ()
     for offset, chunk, got in sweep_chunks(
-        iter_rref_bases(n, k), lambda chunk: fn(fw, n, chunk, with_shifts)
+        rref_blocks(n, k), lambda chunk: fn(fw, n, chunk, with_shifts)
     ):
         # the affine kernel reports no direction
         num, si, shift, a = ([int(v) for v in got] + [-1])[:4]
@@ -373,7 +374,7 @@ def directional_bias(
         import random as _random
 
         rng = _random.Random(seed)
-        lookup = _Lookup(f) if callable(f) else f
+        lookup = _Lookup(f) if callable(f) else as_table(f, n)
         best_val = Fraction(0)
         witness = None
         for _ in range(samples):

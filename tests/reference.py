@@ -6,6 +6,7 @@ a genuine dual-implementation check.  Only the leaf field arithmetic
 (gf2k) and parameter records are shared as data; the m=1 sweep oracle
 gathers with numpy.
 """
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -279,6 +280,31 @@ def raw_condenser_sweep(bases, maps, threshold: int) -> tuple[int, int, int]:
         bests.append(max(ranks))
     low = min(bests)
     return low, bests.index(low), sum(b < threshold for b in bests)
+
+
+def _raw_pooled_ratios(maps, n: int):
+    """(ratio, basis rows) for every subspace V of F2^n with dim in
+    [1, n/2], dimension by dimension in canonical order, where ratio is
+    rank(T_1(V) + ... + T_d(V)) / dim(V).  maps: per map, its int rows
+    (bit j of row i is entry (i, j))."""
+    for k in range(1, n // 2 + 1):
+        for rows in raw_rref_bases(n, k):
+            images = [sum(raw_parity(m_row & r) << i for i, m_row in enumerate(mat))
+                      for mat in maps for r in rows]
+            yield Fraction(raw_rank(images), k), rows
+
+
+def raw_certified_alpha(maps, n: int) -> Fraction:
+    """Min over V of the pooled-image ratio, minus 1."""
+    return min(ratio for ratio, _ in _raw_pooled_ratios(maps, n)) - 1
+
+
+def raw_first_violation(maps, alpha: Fraction, n: int):
+    """Basis rows of the first V whose ratio is below 1 + alpha, or None."""
+    for ratio, rows in _raw_pooled_ratios(maps, n):
+        if ratio < 1 + alpha:
+            return rows
+    return None
 
 
 def gather_scan_m1(kind: str, table, n: int, k: int, with_shifts: bool):

@@ -14,6 +14,7 @@ from gf2lab.dimexp import (
     verify_dimension_expander,
 )
 from gf2lab.subspaces import enumerate_subspaces
+from reference import raw_certified_alpha, raw_first_violation
 
 
 def exhaustive_alpha_oracle(maps, n):
@@ -124,3 +125,32 @@ def test_matrix_inverse():
         m = GF2Matrix.random_invertible(n, rng)
         assert m @ m.inverse() == GF2Matrix.identity(n)
         assert m.inverse() @ m == GF2Matrix.identity(n)
+
+
+def _families(n):
+    """Identity, random and random invertible families of degree 1-3."""
+    rng = random.Random(f"families-{n}")
+    yield [GF2Matrix.identity(n)] * 3
+    for d in (1, 2, 3):
+        yield [GF2Matrix.random(n, n, rng) for _ in range(d)]
+        yield [GF2Matrix.random_invertible(n, rng) for _ in range(d)]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_certified_alpha_matches_int_oracle(n):
+    for maps in _families(n):
+        rows = [m.rows for m in maps]
+        assert certified_alpha(maps, n) == raw_certified_alpha(rows, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_first_violation_matches_int_oracle(n):
+    for maps in _families(n):
+        rows = [m.rows for m in maps]
+        alpha = raw_certified_alpha(rows, n)
+        for probe in (alpha, alpha + Fraction(1, n * n), Fraction(0), Fraction(1, 4),
+                      Fraction(-1), Fraction(n)):
+            ok, witness = verify_dimension_expander(maps, probe, n)
+            want = raw_first_violation(rows, probe, n)
+            assert ok == (want is None), probe
+            assert (witness.rows if witness else None) == want, probe

@@ -2,8 +2,8 @@
 
 The m=1 sweeps: numpy kernels, the indicator-matrix reference and the
 per-coset gather oracle agree exactly, witnesses included.  The rank
-kernels: `rank_words` and `condenser_sweep` return exactly what the int
-oracles in `reference` return."""
+kernels: `rank_words`, `batched_rank` and `condenser_sweep` return
+exactly what the int oracles in `reference` return."""
 import random
 
 import numpy as np
@@ -167,3 +167,30 @@ def test_rank_words_takes_more_than_256_rows():
     rows += [1 << i for i in range(1, 64, 2)]
     assert raw_rank(rows) == 64
     assert _kernels.rank_words(rows, 64) == 64
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 32, 33, 64])
+def test_batched_rank_matches_oracle(width):
+    """Batches of 1-12 random rows, and of rows drawn from the span of
+    r // 2 generators, in the narrowest dtype for the width and in
+    uint64."""
+    rng = random.Random(f"batched-{width}")
+    for r in range(1, 13):
+        gens = [rng.getrandbits(width) for _ in range(max(1, r // 2))]
+        batch = [[rng.getrandbits(width) for _ in range(r)] for _ in range(40)]
+        batch += [[_xor_of(v for v in gens if rng.getrandbits(1)) for _ in range(r)]
+                  for _ in range(40)]
+        want = [raw_rank(rows) for rows in batch]
+        for dtype in {_kernels._uint(width), np.dtype(np.uint64)}:
+            got = _kernels.batched_rank(np.array(batch, dtype=dtype))
+            assert got.tolist() == want, (r, dtype)
+        # leading batch axes are kept
+        grid = np.array(batch, dtype=np.uint64).reshape(2, 40, r)
+        assert _kernels.batched_rank(grid).tolist() == [want[:40], want[40:]]
+
+
+def _xor_of(values) -> int:
+    out = 0
+    for v in values:
+        out ^= v
+    return out

@@ -180,3 +180,8 @@ class TestStrongness:
     ])
     def test_nonzero_distances_locked(self, n, k_src, m, want):
         assert verify_strongness(n, default_source(n, k_src), m) == want
+
+    @pytest.mark.parametrize("src_n", [6, 10])
+    def test_source_width_must_match(self, src_n):
+        with pytest.raises(ValueError, match="source shape mismatch"):
+            verify_strongness(8, default_source(src_n, 4), 2)

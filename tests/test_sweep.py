@@ -1,7 +1,9 @@
-"""The streaming sweep driver: chunk boundaries, early exit, process pool."""
+"""The streaming sweep driver and its block enumerator: order, chunk
+boundaries, early exit, process pool."""
 from fractions import Fraction
 import random
 
+import numpy as np
 import pytest
 
 from gf2lab import subspaces, verify
@@ -9,6 +11,7 @@ from gf2lab.bits import GF2Matrix
 from gf2lab.condense import basic_cond, verify_affine_condenser
 from gf2lab.dimexp import Certificate, DimExpander
 from gf2lab.verify import affine_extractor_distance, builtin_function, directional_bias
+from reference import raw_rref_bases
 
 SMALL_CHUNK = 7
 
@@ -49,12 +52,12 @@ def test_early_exit_reads_one_chunk(monkeypatch):
     seen = []
 
     def counted(n, k):
-        for rows in subspaces.iter_rref_bases(n, k):
-            seen.append(rows)
-            yield rows
+        for block in subspaces.rref_blocks(n, k):
+            seen.extend(block)
+            yield block
 
     monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
-    monkeypatch.setattr(verify, "iter_rref_bases", counted)
+    monkeypatch.setattr(verify, "rref_blocks", counted)
     rep = directional_bias(builtin_function("parity", 6), 6, 3)
     assert rep.value == "1"
     assert 0 < len(seen) <= SMALL_CHUNK
@@ -64,11 +67,11 @@ def test_parity_exit_reads_first_chunk_at_default_size(monkeypatch):
     seen = []
 
     def counted(n, k):
-        for rows in subspaces.iter_rref_bases(n, k):
-            seen.append(rows)
-            yield rows
+        for block in subspaces.rref_blocks(n, k):
+            seen.extend(block)
+            yield block
 
-    monkeypatch.setattr(verify, "iter_rref_bases", counted)
+    monkeypatch.setattr(verify, "rref_blocks", counted)
     rep = directional_bias(builtin_function("parity", 8), 8, 4)
     assert rep.value == "1"
     assert subspaces.FIRST_CHUNK == 64 < subspaces.SWEEP_CHUNK
@@ -79,7 +82,7 @@ def test_chunks_grow_from_first_to_sweep_chunk(monkeypatch):
     monkeypatch.setattr(subspaces, "FIRST_CHUNK", 2)
     monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
     sizes = [len(chunk) for _, chunk, _ in
-             subspaces.sweep_chunks(subspaces.iter_rref_bases(5, 2), len)]
+             subspaces.sweep_chunks(subspaces.rref_blocks(5, 2), len)]
     assert subspaces.gaussian_binomial(5, 2) == 155 == 2 + 4 + 21 * 7 + 2
     assert sizes == [2, 4] + [7] * 21 + [2]
 
@@ -101,7 +104,30 @@ def test_driver_offsets_cover_enumeration(monkeypatch, k):
     monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
     bases = list(subspaces.iter_rref_bases(5, k))
     got = []
-    for offset, chunk, size in subspaces.sweep_chunks(iter(bases), len):
+    for offset, chunk, size in subspaces.sweep_chunks(subspaces.rref_blocks(5, k), len):
         assert offset == len(got) and size == len(chunk) <= SMALL_CHUNK
         got.extend(tuple(int(r) for r in row) for row in chunk)
     assert got == bases
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_rref_blocks_follow_canonical_order(n):
+    for k in range(n + 1):
+        blocks = list(subspaces.rref_blocks(n, k))
+        assert all(b.dtype == np.uint64 and b.shape[1] == k for b in blocks)
+        got = [tuple(int(r) for r in row) for b in blocks for row in b]
+        assert got == list(raw_rref_bases(n, k)), k
+
+
+@pytest.mark.parametrize("sweep_chunk,n,k", [(None, 8, 4), (SMALL_CHUNK, 6, 3), (100, 8, 3)])
+def test_rref_block_sizes_double_up_to_sweep_chunk(monkeypatch, sweep_chunk, n, k):
+    if sweep_chunk is not None:
+        monkeypatch.setattr(subspaces, "SWEEP_CHUNK", sweep_chunk)
+    cap, total = subspaces.SWEEP_CHUNK, subspaces.gaussian_binomial(n, k)
+    want, size = [], min(subspaces.FIRST_CHUNK, cap)
+    while sum(want) + size < total:
+        want.append(size)
+        size = min(2 * size, cap)
+    want.append(total - sum(want))
+    assert cap in want
+    assert [len(b) for b in subspaces.rref_blocks(n, k)] == want

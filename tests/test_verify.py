@@ -106,6 +106,12 @@ class TestDirectionalBias:
                 directional_bias(lambda x: 3, 4, 2, definition="xor_bias",
                                  m=2, **kw)
 
+    def test_table_length_checked_in_both_modes(self):
+        table = [1] * 64 + [0] * 64
+        for kw in ({}, {"mode": "sample", "samples": 3}):
+            with pytest.raises(ValueError, match="table length mismatch"):
+                directional_bias(table, 6, 3, **kw)
+
     def test_second_brute_forcer_only_for_exhaustive_m1(self):
         table = [x & 3 for x in range(16)]
         for kw in ({"m": 2}, {"mode": "sample", "samples": 3}):
