@@ -10,6 +10,9 @@ row clearing its lowest set bit from the rows after it.  Images come
 from byte tables: for each map, ceil(n/8) tables of 256 words hold the
 image of every byte value at every byte position, so a chunk's images
 are one gather and XOR per input byte, and no table grows with 2^n.
+`map_images` is that step for any array of points; the non-malleable
+extractor's testers and the structured function's truth table apply
+their linear maps with it too.
 `condenser_sweep` keeps a running max over the maps of each basis's
 image rank, then takes the first minimum over bases; `pooled_ranks`
 ranks the images under all maps together, for the expander checks.
@@ -111,6 +114,13 @@ def _images(tab: np.ndarray, idx: list[np.ndarray]) -> np.ndarray:
     return img
 
 
+def map_images(points, tabs: np.ndarray) -> list[np.ndarray]:
+    """Each map's images of the points, from the maps' `byte_tables`:
+    one gather and XOR per input byte, in the tables' dtype."""
+    idx = _byte_indices(points, tabs.shape[1])
+    return [_images(tab, idx) for tab in tabs]
+
+
 def condenser_sweep(bases, map_cols, m_out: int, threshold: int):
     """Min over subspaces of (max over row maps of image rank).
 
@@ -141,8 +151,7 @@ def pooled_ranks(bases, tabs: np.ndarray) -> np.ndarray:
     """(ns,) ranks of T_1(V) + ... + T_d(V) for each basis of V: the
     images under every map, from the maps' `byte_tables`, pooled into
     (ns, d*k) rows."""
-    idx = _byte_indices(bases, tabs.shape[1])
-    return batched_rank(np.concatenate([_images(tab, idx) for tab in tabs], axis=1))
+    return batched_rank(np.concatenate(map_images(bases, tabs), axis=1))
 
 
 def _bits(f_words, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ disperser output into extractor output bits.
 Two modes.  structural: the data flow runs and hard width arithmetic is
 enforced, while the analysis-side inequalities (the m'/100 width chain,
 the degree dominance c_i > c * c_{i+1}, the t formula) are recorded as
-soft checks, almost all of which必 fail at desk scale -- they need n far
+soft checks, almost all of which fail at desk scale -- they need n far
 beyond enumeration.  statistical: identical flow, but the caller feeds
 the output to the verify module and judges by measured bias.
 """
@@ -27,7 +27,7 @@ from .codes import LinearCode, extended_hamming_8_4, tiled_code
 from .condense import eval_recursive, expander_family
 from .dimexp import DimExpander, standard_family
 from .gf2k import GF2kField
-from .snmext import query_vector
+from .snmext import query_matrix
 from .xprims import ToeplitzExtractor, affine_srext, extract_with_short_seed, ip
 
 ENC_BLOCK_BITS = 8
@@ -289,20 +289,7 @@ class PipelineParams:
         return hard + soft + list(self.cb.checks())
 
     def _needed_dims(self) -> set[int]:
-        dims = set()
-        w = self.nb
-        for _ in range(self.h2):
-            dims.add(w // 2)
-            w //= 2
-        w = self.n
-        for _ in range(self.h2 + self.log_t):
-            dims.add(w // 2)
-            w //= 2
-        w = self.n
-        for _ in range(self.H1):
-            dims.add(w // 2)
-            w //= 2
-        return dims
+        return _halving_dims(self.n, self.t, self.h2, self.H1)
 
     def validate(self, strict: bool = False) -> list[Check]:
         """Hard width failures always raise.  Analysis-side failures are
@@ -374,15 +361,12 @@ class PipelineParams:
         n3: int = 8,
         t_override: int | None = None,
         beta_prime: Fraction = Fraction(1, 2),
-        expander_trials: int = 200,
     ) -> "PipelineParams":
         """Derive a full width assignment.
 
         t follows the 2^ceil(log2(10/delta)) rule unless t_override is
         given (the deviation then shows up as a failed soft check).
         The advice block count is the largest k with u1 = 3k < m'.
-        expander_trials controls the sampled certificates above the
-        exhaustive cap (large-n builds may lower it for speed).
         """
         t = t_override or (1 << math.ceil(math.log2(10 / delta)))
         w_snm = n >> H1
@@ -394,21 +378,8 @@ class PipelineParams:
         c_blocks = tuple([2] + [1] * (t - 1))
         g_code = _default_g_code(min(n3 // c for c in c_blocks))
         enc = tiled_code(extended_hamming_8_4(), n // 4)
-        dims = set()
-        w = n // t
-        for _ in range(h2):
-            dims.add(w // 2)
-            w //= 2
-        w = n
-        for _ in range(h2 + (t.bit_length() - 1)):
-            dims.add(w // 2)
-            w //= 2
-        w = n
-        for _ in range(H1):
-            dims.add(w // 2)
-            w //= 2
-        fam = standard_family(dims, seed=expander_seed, exhaustive_cap=6,
-                              sampled_trials=expander_trials)
+        fam = standard_family(_halving_dims(n, t, h2, H1), seed=expander_seed,
+                              exhaustive_cap=6)
         return cls(
             n=n, delta=delta, mode=mode, t=t, h2=h2, H1=H1,
             m_prime=m_prime, k_adv=k_adv, n1=n1, n3=n3,
@@ -461,6 +432,17 @@ class PipelineParams:
                          expander_seed=expander_seed)
 
 
+def _halving_dims(n: int, t: int, h2: int, H1: int) -> set[int]:
+    """Expander dimensions of the three condensers: h2 halvings of a
+    block, h2 + log t of the whole input (SCond_3), H1 of the input."""
+    dims = set()
+    for w, steps in ((n // t, h2), (n, h2 + t.bit_length() - 1), (n, H1)):
+        for _ in range(steps):
+            dims.add(w // 2)
+            w //= 2
+    return dims
+
+
 def _default_g_code(m1: int) -> LinearCode:
     if m1 == 4:
         return LinearCode(GF2Matrix((0b0101, 0b1010), 4)).certify()
@@ -498,14 +480,8 @@ def daext_core(x: BitVec, p: PipelineParams) -> tuple[BitVec, TraceRecord]:
         u1, u2 = u.take(split), u.drop(split)
         h = advice_bits(u1, enc_x, p.k_adv)
         u_tilde = u.cat(h)
-        sn_rows = []
-        y_seed_elt = field.nonzero_element(u_tilde.value)
-        masks = [query_vector(field, y_seed_elt, idx) for idx in snm_indices]
-        for sc in sc_rows:
-            v = 0
-            for pos, mask in enumerate(masks):
-                v |= ((sc.value & mask).bit_count() & 1) << pos
-            sn_rows.append(BitVec(p.n1, v))
+        q = query_matrix(field, field.nonzero_element(u_tilde.value), snm_indices)
+        sn_rows = [q.apply(sc) for sc in sc_rows]
         y_tilde = BitVec(p.n2)
         for j, sn in enumerate(sn_rows):
             y_tilde ^= ldacb(x, sn, BitVec(p.a_bits, j), p.cb)

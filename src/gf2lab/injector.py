@@ -30,6 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._kernels import byte_tables, map_images
 from .bits import GF2Matrix
 from .condense import min_rank_fold
 from .subspaces import BudgetExceeded, gaussian_binomial, rref_blocks, span_points
@@ -162,18 +163,15 @@ class StructuredFunction:
         return acc
 
     def truth_table(self) -> list[int]:
-        # image tables make the full evaluation a pair of lookups
-        out = []
-        imgs = [
-            [a.mul_vec(x) for x in range(1 << self.injector.n)]
-            for a in self.injector.matrices
-        ]
-        for x in range(1 << self.injector.n):
-            acc = 0
-            for i, t in enumerate(self.tables):
-                acc ^= (t >> imgs[i][x]) & 1
-            out.append(acc)
-        return out
+        # every matrix's images of every x, then one lookup per table
+        inj = self.injector
+        cols = np.array([a.transpose().rows for a in inj.matrices], dtype=np.uint64)
+        tabs = byte_tables(cols.reshape(inj.m, inj.n), inj.d)
+        out = np.zeros(1 << inj.n, dtype=np.uint8)
+        for img, t in zip(map_images(np.arange(1 << inj.n), tabs), self.tables):
+            raw = np.frombuffer(t.to_bytes(-(-(1 << inj.d) // 8), "little"), np.uint8)
+            out ^= np.unpackbits(raw, bitorder="little")[img]
+        return out.tolist()
 
     def to_text(self) -> str:
         tables = "\n".join(f"{t:x}" for t in self.tables)

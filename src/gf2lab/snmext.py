@@ -2,9 +2,14 @@
 
 The seed y has n/2 - 1 bits and names a nonzero field element through
 the fixed enumeration Y = y + 1 (no rejection, the image is exactly a
-subset of F*).  Each output bit is linear in x for every fixed seed.
-The non-malleability tester enumerates the full joint distribution of
-(Z, tampered Z, Y) and returns its exact distance from (U, tampered Z, Y).
+subset of F*).  Each output bit is linear in x for every fixed seed, so
+a seed's queries form one matrix, `query_matrix`: `snm_ext` applies it
+to one point, and the pipeline to each global condenser row.
+
+The exact testers push the whole source support through every seed's
+matrix at once with the byte-table kernel, count the outcomes one seed
+at a time, and return the exact distance of (Z, tampered Z, Y) from
+(U, tampered Z, Y), or of (Z, Y) from (U, Y).
 """
 from __future__ import annotations
 
@@ -13,8 +18,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
+from ._kernels import byte_tables, map_images
 from .affine import AffineSource
-from .bits import BitVec, parity
+from .bits import BitVec, GF2Matrix
 from .dist import uniform_given_distance
 from .gf2k import GF2kField
 from .subspaces import BudgetExceeded
@@ -37,6 +45,12 @@ def query_vector(field: GF2kField, y_elt: int, index: int) -> int:
     return low | (high << field.k)
 
 
+def query_matrix(field: GF2kField, y_elt: int, indices: Sequence[int]) -> GF2Matrix:
+    """Z = Q x for the seed naming y_elt: row i is the query mask of
+    output bit indices[i]."""
+    return GF2Matrix(tuple(query_vector(field, y_elt, i) for i in indices), 2 * field.k)
+
+
 def snm_ext(
     x: BitVec,
     y: BitVec,
@@ -53,12 +67,7 @@ def snm_ext(
         out_indices = (1,)
     if not out_indices:
         raise ValueError("empty output index list")
-    y_elt = field.nonzero_element(y.value)
-    out = 0
-    for pos, i in enumerate(out_indices):
-        v = query_vector(field, y_elt, i)
-        out |= parity(x.value & v) << pos
-    return BitVec(len(out_indices), out)
+    return query_matrix(field, field.nonzero_element(y.value), out_indices).apply(x)
 
 
 def default_source(n: int, k_src: int, seed: int = SOURCE_SEED) -> AffineSource:
@@ -90,6 +99,42 @@ class NonMalleabilityReport:
         }
 
 
+def _check_work(n: int, source: AffineSource, m: int, budget: int) -> int:
+    """The seed count, once n, m and the budget are checked.
+
+    Each seed holds one image per support point and one byte-table
+    entry per (input byte, byte value); the budget bounds the larger of
+    the two, over all seeds.
+    """
+    n_seeds = 1 << seed_bits(n)
+    if not 1 <= m <= n // 2:
+        raise ValueError(f"m must be between 1 and n/2 = {n // 2}, got {m}")
+    work = n_seeds * max(source.support_size(), 256 * -(-n // 8))
+    if work > budget:
+        raise BudgetExceeded(f"{work} seed images and table entries exceed budget {budget}")
+    return n_seeds
+
+
+def _seed_images(n: int, source: AffineSource, m: int) -> list[np.ndarray]:
+    """Z_y on every point of the source's support, for every seed y."""
+    field = GF2kField(n // 2)
+    indices = range(1, m + 1)
+    tabs = byte_tables(
+        [query_matrix(field, field.nonzero_element(y), indices).transpose().rows
+         for y in range(1 << seed_bits(n))],
+        m,
+    )
+    points = np.fromiter(source.support(), dtype=np.uint64, count=source.support_size())
+    return map_images(points, tabs)
+
+
+def _tally(counts: dict[int, int], keys: np.ndarray, base: int) -> None:
+    """Add one seed's outcome counts, each key ORed with `base`."""
+    values, freq = np.unique(keys, return_counts=True)
+    for v, c in zip(values.tolist(), freq.tolist()):
+        counts[v | base] = c
+
+
 def verify_nonmalleability(
     n: int,
     k_src: int,
@@ -100,50 +145,26 @@ def verify_nonmalleability(
 ) -> NonMalleabilityReport:
     """Exact distance of (Z, Z', Y) from (U_m, Z', Y), Z' on the tampered seed.
 
-    Enumerates every (x, y) pair; the tamper map is scanned for fixed
-    points first and rejected if any exist.
+    Once the budget allows the run, the tamper map is scanned for fixed
+    points and rejected if any exist.  Z and Z' of every (x, y) pair
+    come from one set of seed images, counted one seed at a time.
     """
-    sb = seed_bits(n)
     if source is None:
         source = default_source(n, k_src)
     if source.n != n or source.entropy != k_src:
         raise ValueError("source shape mismatch")
-    n_seeds = 1 << sb
+    n_seeds = _check_work(n, source, m, budget)
     for y in range(n_seeds):
         ay = tamper(y)
         if not 0 <= ay < n_seeds:
             raise ValueError("tamper leaves the seed space")
         if ay == y:
             raise ValueError(f"tamper has a fixed point at y={y}")
-    total = source.support_size() * n_seeds
-    if total > budget:
-        raise BudgetExceeded(f"{total} pairs exceed budget {budget}")
-
-    field = GF2kField(n // 2)
-    indices = tuple(range(1, m + 1))
-    # per seed, the m query masks for the straight and the tampered seed
-    masks = []
-    for y in range(n_seeds):
-        ye = field.nonzero_element(y)
-        ae = field.nonzero_element(tamper(y))
-        masks.append(
-            (
-                [query_vector(field, ye, i) for i in indices],
-                [query_vector(field, ae, i) for i in indices],
-            )
-        )
-
+    images = _seed_images(n, source, m)
     counts: dict[int, int] = {}
-    for x in source.support():
-        for y in range(n_seeds):
-            vy, va = masks[y]
-            z = 0
-            zp = 0
-            for pos in range(m):
-                z |= parity(x & vy[pos]) << pos
-                zp |= parity(x & va[pos]) << pos
-            key = z | (zp << m) | (y << (2 * m))
-            counts[key] = counts.get(key, 0) + 1
+    for y in range(n_seeds):
+        keys = images[y] | images[tamper(y)].astype(np.uint64) << m
+        _tally(counts, keys, y << (2 * m))
     distance = uniform_given_distance(counts, m)
     return NonMalleabilityReport(n, k_src, m, n_seeds, distance)
 
@@ -157,22 +178,10 @@ def verify_strongness(
     """Exact distance of (Z, Y) from (U_m, Y) with a uniform seed."""
     if source.n != n:
         raise ValueError("source shape mismatch")
-    sb = seed_bits(n)
-    n_seeds = 1 << sb
-    total = source.support_size() * n_seeds
-    if total > budget:
-        raise BudgetExceeded(f"{total} pairs exceed budget {budget}")
-    field = GF2kField(n // 2)
-    indices = tuple(range(1, m + 1))
+    _check_work(n, source, m, budget)
     counts: dict[int, int] = {}
-    for y in range(n_seeds):
-        masks = [query_vector(field, field.nonzero_element(y), i) for i in indices]
-        for x in source.support():
-            z = 0
-            for pos in range(m):
-                z |= parity(x & masks[pos]) << pos
-            key = z | (y << m)
-            counts[key] = counts.get(key, 0) + 1
+    for y, z in enumerate(_seed_images(n, source, m)):
+        _tally(counts, z, y << m)
     return uniform_given_distance(counts, m)
 
 

@@ -139,18 +139,20 @@ class TestStructuredFunction:
 
     def test_matches_monolithic_oracle(self):
         rng = random.Random(503)
-        inj = sample_injector(6, 2, 2, 5, 4, 11)
-        tables = tuple(rng.getrandbits(32) for _ in range(4))
-        f = StructuredFunction(inj, tables)
-        tt = f.truth_table()
-        for x in range(64):
-            want = 0
-            for a, t in zip(inj.matrices, tables):
-                img = 0
-                for i, row in enumerate(a.rows):
-                    img |= (bin(row & x).count("1") & 1) << i
-                want ^= (t >> img) & 1
-            assert tt[x] == want == f.eval(x)
+        # (10, 9, 3): two input bytes, and images wider than one byte
+        for n, d, m in ((6, 5, 4), (10, 9, 3)):
+            inj = sample_injector(n, 2, 2, d, m, 11)
+            tables = tuple(rng.getrandbits(1 << d) for _ in range(m))
+            f = StructuredFunction(inj, tables)
+            tt = f.truth_table()
+            for x in range(1 << n):
+                want = 0
+                for a, t in zip(inj.matrices, tables):
+                    img = 0
+                    for i, row in enumerate(a.rows):
+                        img |= (bin(row & x).count("1") & 1) << i
+                    want ^= (t >> img) & 1
+                assert tt[x] == want == f.eval(x)
 
     def test_table_permutation_equivariance(self):
         # permuting (matrix, table) pairs together leaves f unchanged

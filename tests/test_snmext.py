@@ -18,6 +18,7 @@ from gf2lab.snmext import (
     verify_strongness,
     xor_tamper,
 )
+from gf2lab.subspaces import BudgetExceeded
 
 
 class TestSnmExt:
@@ -76,28 +77,31 @@ class TestSnmExt:
             assert anf_of(truth_table_of(f, n + sb)).degree == 4
 
 
-def rank_based_joint_oracle(n, source, tamper, m):
-    """Independent recomputation: per seed, the joint (Z, Z') of an affine
-    source is uniform over the image of a linear map, so exact counts
-    come from matrix images instead of point enumeration."""
+def rank_based_oracle(n, source, m, tamper=None):
+    """Independent recomputation: per seed, (Z, Z') of an affine source
+    (or Z alone, without a tamper) is uniform over the image of a linear
+    map, so exact counts come from matrix images instead of point
+    enumeration."""
     field = GF2kField(n // 2)
     sb = seed_bits(n)
+    seeds = [lambda y: y] + ([tamper] if tamper else [])
+    w = m * len(seeds)
     counts = {}
     marg = {}
     per_seed = source.support_size()
     for y in range(1 << sb):
-        rows = [query_vector(field, field.nonzero_element(y), i) for i in range(1, m + 1)]
-        rows += [
-            query_vector(field, field.nonzero_element(tamper(y)), i)
+        rows = [
+            query_vector(field, field.nonzero_element(s(y)), i)
+            for s in seeds
             for i in range(1, m + 1)
         ]
         M = GF2Matrix(tuple(rows), n)
         img = source.apply(M)
         scale = per_seed >> img.entropy
         for pt in img.support():
-            key = pt | (y << (2 * m))
+            key = pt | (y << w)
             counts[key] = counts.get(key, 0) + scale
-            mkey = (pt >> m) | (y << m)
+            mkey = key >> m
             marg[mkey] = marg.get(mkey, 0) + scale
     total = per_seed << sb
     acc = 0
@@ -125,12 +129,36 @@ class TestNonMalleability:
         assert rep.distance == Fraction(1, 2)
 
     def test_matches_rank_based_oracle_n8(self):
+        # y -> y + 1 mod 2^3 is fixed-point free and not an XOR
+        tampers = (xor_tamper(1), xor_tamper(5), lambda y: (y + 1) % 8)
         for k_src in (4, 6, 8):
             src = default_source(8, k_src)
-            for c in (1, 5):
-                rep = verify_nonmalleability(8, k_src, xor_tamper(c), 2, source=src)
-                want = rank_based_joint_oracle(8, src, xor_tamper(c), 2)
-                assert rep.distance == want
+            for m in (2, 4):
+                for tamper in tampers:
+                    rep = verify_nonmalleability(8, k_src, tamper, m, source=src)
+                    assert rep.distance == rank_based_oracle(8, src, m, tamper)
+                assert verify_strongness(8, src, m) == rank_based_oracle(8, src, m)
+
+    @pytest.mark.parametrize("m", [0, 5, -1])
+    def test_output_length_out_of_range(self, m):
+        with pytest.raises(ValueError, match="m must be between 1 and n/2"):
+            verify_nonmalleability(8, 4, xor_tamper(1), m)
+        with pytest.raises(ValueError, match="m must be between 1 and n/2"):
+            verify_strongness(8, default_source(8, 4), m)
+
+    def test_budget_bounds_seed_images_and_tables(self):
+        # n=16: 128 seeds, 512 table entries each, 2^4 support points
+        with pytest.raises(BudgetExceeded):
+            verify_nonmalleability(16, 4, xor_tamper(1), 1, budget=128 * 512 - 1)
+        verify_nonmalleability(16, 4, xor_tamper(1), 1, budget=128 * 512)
+
+    def test_budget_checked_before_the_tamper_scan(self):
+        # 2^31 seeds at n=64: the scan alone would take minutes
+        def tamper(y):
+            raise AssertionError("tamper scanned before the budget check")
+
+        with pytest.raises(BudgetExceeded):
+            verify_nonmalleability(64, 0, tamper, 1)
 
     def test_source_reparameterization_invariance(self):
         # distance must not depend on how the same coset is presented
