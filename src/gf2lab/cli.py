@@ -25,7 +25,7 @@ from .condense import (
     sgcond,
     verify_affine_condenser,
 )
-from .daext import PipelineParams, daext, daext_core
+from .daext import PipelineParams, daext, daext_core, disperser_to_extractor
 from .dimexp import DimExpander, search_dimension_expander
 from .injector import (
     SumsetInjector,
@@ -153,7 +153,7 @@ def cmd_daext(args) -> int:
         p = PipelineParams.from_json(json.loads(Path(args.params).read_text()))
         x = BitVec.from_hex(args.input)
         z, trace = daext_core(x, p)
-        out = daext(x, p)
+        out = disperser_to_extractor(z, p.g_code, p.beta_prime)
         rep = {"input": x.to_hex(), "z": z.to_hex(), "output": out.to_hex()}
         if args.trace:
             rep_trace = {
@@ -213,7 +213,7 @@ def cmd_lbp(args) -> int:
         worst = Fraction(0)
         worst_name = ""
         for name, base in baseline_catalog(args.n, seed=args.seed):
-            agree = correlation(base, lambda x: int(table[x]))
+            agree = correlation(base, table)
             gap = abs(agree - Fraction(1, 2))
             if gap > worst:
                 worst, worst_name = gap, name

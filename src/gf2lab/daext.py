@@ -21,6 +21,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
+
 from .bits import BitVec, GF2Matrix
 from .cbreak import CBParams, Check, LaParams, NipmParams, ldacb, stage_degree
 from .codes import LinearCode, extended_hamming_8_4, tiled_code
@@ -82,7 +85,7 @@ def advice_collision_probability(
 @dataclass
 class BlockTrace:
     y_rows: list[BitVec]
-    sr_rows: list[BitVec]
+    sr_rows: np.ndarray  # row values, x' rows outer, y rows inner
     r: BitVec
     u: BitVec
     u1: BitVec
@@ -114,7 +117,7 @@ class TraceRecord:
             assert len(b.y_rows) == p.ell2
             assert all(r.n == p.w_y for r in b.y_rows)
             assert len(b.sr_rows) == p.ell3p * p.ell2
-            assert all(r.n == p.m_ip for r in b.sr_rows)
+            assert int(b.sr_rows.max()) >> p.m_ip == 0
             assert b.r.n == p.m_ip
             assert b.u.n == p.m_prime
             assert b.u1.n == p.k_adv * ENC_INDEX_BITS
@@ -465,16 +468,16 @@ def daext_core(x: BitVec, p: PipelineParams) -> tuple[BitVec, TraceRecord]:
 
     sc_rows = eval_recursive(fam, x, p.H1, general=False)
     xprime_rows = eval_recursive(fam, x, p.h2 + p.log_t, general=False)
+    xprime_vals = np.array([r.value for r in xprime_rows], dtype=np.uint64)
     enc_x = p.enc.encode(x)
     blocks = []
     z = 0
     for i in range(p.t):
         xi = x.window(i * p.nb, p.nb)
         y_rows = eval_recursive(fam, xi, p.h2, general=False)
-        sr_rows = [
-            ip(xp, y, p.m_ip) for xp in xprime_rows for y in y_rows
-        ]
-        r = affine_srext(sr_rows)
+        y_vals = np.array([r.value for r in y_rows], dtype=np.uint64)
+        sr_rows = ip(xprime_vals[:, None], y_vals, p.m_ip, p.w_y).ravel()
+        r = BitVec(p.m_ip, affine_srext(sr_rows, width=p.m_ip))
         u = extract_with_short_seed(ToeplitzExtractor(p.n, p.m_prime), x, r)
         split = p.k_adv * ENC_INDEX_BITS
         u1, u2 = u.take(split), u.drop(split)

@@ -53,8 +53,7 @@ class DimExpander:
         return len(self.maps)
 
     def image_rank(self, basis: GF2Matrix) -> int:
-        rows = [m.mul_vec(r) for m in self.maps for r in basis.rows]
-        return rank_words(rows, self.n)
+        return _image_rank(self.maps, basis.rows, self.n)
 
     def to_text(self) -> str:
         head = f"{self.n} {self.d} {self.alpha} {self.certificate}\n"
@@ -71,6 +70,11 @@ class DimExpander:
             maps.append(GF2Matrix.from_text("\n".join(lines[pos : pos + n + 1])))
             pos += n + 1
         return cls(n, tuple(maps), Fraction(alpha_s), Certificate.parse(cert_s))
+
+
+def _image_rank(maps: Sequence[GF2Matrix], rows: Sequence[int], n: int) -> int:
+    """dim(T_1(V) + ... + T_d(V)) for the span V of `rows`."""
+    return rank_words([m.mul_vec(r) for m in maps for r in rows], n)
 
 
 def _subspace_budget(n: int) -> int:
@@ -124,20 +128,29 @@ def certified_alpha(
 def sampled_alpha(
     maps: Sequence[GF2Matrix], n: int, trials: int, rng: random.Random
 ) -> Fraction:
-    """Lower-confidence alpha from uniform random subspaces (not a proof)."""
-    best: Fraction | None = None
+    """Lower-confidence alpha from uniform random subspaces (not a proof).
+
+    Each trial draws a dimension k and a random full-rank k x n basis;
+    the bases are then ranked together, k by k, on the pooled images.
+    """
+    bases: dict[int, list[tuple[int, ...]]] = {}
     for _ in range(trials):
         k = rng.randrange(1, n // 2 + 1)
         while True:
             cand = GF2Matrix.random(k, n, rng)
             if cand.rank() == k:
                 break
-        rows = [m.mul_vec(r) for m in maps for r in cand.rows]
-        ratio = Fraction(rank_words(rows, n), k)
-        if best is None or ratio < best:
-            best = ratio
-    assert best is not None
-    return best - 1
+        bases.setdefault(k, []).append(cand.rows)
+    if not bases:
+        raise ValueError("need at least one trial")
+    if n > 64:  # wider than the kernels' words: one basis at a time
+        low = {k: min(_image_rank(maps, rows, n) for rows in group)
+               for k, group in bases.items()}
+    else:
+        tabs = byte_tables([m.transpose().rows for m in maps], n)
+        low = {k: int(pooled_ranks(np.array(group, dtype=np.uint64), tabs).min())
+               for k, group in bases.items()}
+    return min(Fraction(rank, k) for k, rank in low.items()) - 1
 
 
 def search_dimension_expander(

@@ -55,9 +55,6 @@ class ExactDist:
     def support(self) -> list[int]:
         return sorted(self.probs)
 
-    def max_prob(self) -> Fraction:
-        return max(self.probs.values())
-
     def collision_probability(self) -> Fraction:
         return sum((p * p for p in self.probs.values()), Fraction(0))
 

@@ -4,13 +4,22 @@ One fixed low-weight irreducible modulus per k (the minimal-weight,
 then minimal-value polynomial), shipped as data in data/moduli.txt and
 certified at load by exhaustive trial division (k <= 24).  Elements
 are k-bit ints in the polynomial basis b_i = x^(i-1).
+
+`GF2kField.mul_array` multiplies whole arrays of elements: fields with
+k <= 8 read a product table, built on first use and cached per modulus;
+larger fields multiply carrylessly, one bit of the second factor at a
+time, then reduce.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 
+import numpy as np
+
 CERTIFY_CAP = 24
+TABLE_CAP = 8  # product tables up to 2^8 x 2^8 bytes
 
 
 def clmul(a: int, b: int) -> int:
@@ -22,6 +31,28 @@ def clmul(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return r
+
+
+def _mul_arrays(a, b, modulus: int) -> np.ndarray:
+    """Products mod `modulus` of two broadcastable arrays of elements,
+    as uint64 (degree <= 32, so the carryless product fits)."""
+    k = modulus.bit_length() - 1
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    prod = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    for i in range(k):
+        prod ^= (a << i) * ((b >> i) & 1)
+    for d in range(2 * k - 2, k - 1, -1):
+        prod ^= (modulus << (d - k)) * ((prod >> d) & 1)
+    return prod
+
+
+@lru_cache(maxsize=None)
+def _product_table(modulus: int) -> np.ndarray:
+    elts = np.arange(1 << (modulus.bit_length() - 1), dtype=np.uint64)
+    table = _mul_arrays(elts[:, None], elts, modulus).astype(np.uint8)
+    table.setflags(write=False)
+    return table
 
 
 def polymod(a: int, m: int) -> int:
@@ -133,6 +164,23 @@ class GF2kField:
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
         return polymod(clmul(a, b), self.modulus)
+
+    def product_table(self) -> np.ndarray:
+        """Read-only (2^k, 2^k) uint8 table of a*b, for k <= TABLE_CAP."""
+        if self.k > TABLE_CAP:
+            raise ValueError(f"no product table for k={self.k} > {TABLE_CAP}")
+        return _product_table(self.modulus)
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise products of two broadcastable arrays of elements.
+
+        Elements are not range-checked: the callers pass k-bit masks.
+        """
+        if self.k <= TABLE_CAP:
+            return self.product_table()[a, b]
+        if self.k > 32:
+            raise ValueError(f"array products need k <= 32, got k={self.k}")
+        return _mul_arrays(a, b, self.modulus)
 
     def pow3(self, a: int) -> int:
         return self.mul(self.mul(a, a), a)

@@ -10,7 +10,9 @@ Call sites that only hold a short string extend it cyclically
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .bits import BitVec, GF2Matrix, parity
 from .gf2k import GF2kField, MODULUS_TABLE
@@ -24,30 +26,37 @@ def _field(m: int) -> GF2kField:
     return _field_cache[m]
 
 
-def ip(x: BitVec, y: BitVec, m: int) -> BitVec:
+def ip(x, y, m: int, width: int | None = None):
     """Inner product of x and y viewed as vectors over GF(2^m).
 
-    Lengths must match; a tail shorter than m bits is dropped (the
-    block view only covers full m-bit blocks).  Bilinear in (x, y).
+    x and y are BitVecs of one length, or broadcastable arrays of
+    `width`-bit row values (width <= 64), which give an array of
+    products; the BitVec form is one row of the array form.  A tail
+    shorter than m bits is dropped (the block view only covers full
+    m-bit blocks).  Bilinear in (x, y).
     """
-    if x.n != y.n:
-        raise ValueError("length mismatch")
+    if isinstance(x, BitVec):
+        if x.n != y.n:
+            raise ValueError("length mismatch")
+        if x.n > 64:
+            raise ValueError("ip rows are limited to 64 bits")
+        rows = np.array([[x.value], [y.value]], dtype=np.uint64)
+        return BitVec(m, int(ip(rows[0], rows[1], m, x.n)[0]))
     if m < 1:
         raise ValueError("block width must be positive")
-    blocks = x.n // m
+    blocks = width // m
     if blocks == 0:
         raise ValueError("inputs shorter than one block")
-    if m == 1:
-        return BitVec(1, parity(x.value & y.value))
+    if width > 64:
+        raise ValueError("ip rows are limited to 64 bits")
     f = _field(m)
     mask = (1 << m) - 1
-    acc = 0
-    xv, yv = x.value, y.value
-    for _ in range(blocks):
-        acc ^= f.mul(xv & mask, yv & mask)
-        xv >>= m
-        yv >>= m
-    return BitVec(m, acc)
+    xs = np.asarray(x, dtype=np.uint64)
+    ys = np.asarray(y, dtype=np.uint64)
+    acc = f.mul_array(xs & mask, ys & mask)
+    for b in range(1, blocks):
+        acc ^= f.mul_array((xs >> (b * m)) & mask, (ys >> (b * m)) & mask)
+    return acc
 
 
 class LinearSeededExtractor:
@@ -219,8 +228,8 @@ MERGE_STRATEGIES: dict[str, MergeFn] = {
 
 
 def affine_srext(
-    rows: Sequence[BitVec], strategy: str | MergeFn = "pairprod"
-) -> BitVec:
+    rows, strategy: str | MergeFn = "pairprod", width: int | None = None
+):
     """Fold the rows of a somewhere-random source into one string.
 
     t = 1 returns the row unchanged.  The default strategy multiplies
@@ -228,12 +237,32 @@ def affine_srext(
     source whose rows are all equal and uniform folds to an iterated
     square of a uniform field element, which is exactly uniform.
     Strategies are pluggable by name or callable.
+
+    rows are BitVecs, or, for "pairprod" only, an array of `width`-bit
+    row values, folded level by level with array products into an int;
+    the BitVec "pairprod" fold is the array fold of their values.
     """
-    if not rows:
+    if len(rows) == 0:
         raise ValueError("need at least one row")
+    if not isinstance(rows[0], BitVec):
+        if strategy != "pairprod":
+            raise ValueError("array rows fold with the pairprod strategy only")
+        if width is None:
+            raise ValueError("array rows need their width")
+        level = np.asarray(rows, dtype=np.uint64)
+        if int(level.max()) >> width:
+            raise ValueError(f"rows must be {width}-bit values")
+        while len(level) > 1:
+            if len(level) % 2:
+                level = np.append(level, level[-1])
+            level = _field(width).mul_array(level[0::2], level[1::2])
+        return int(level[0])
     width = rows[0].n
     if any(r.n != width for r in rows):
         raise ValueError("ragged rows")
+    if strategy == "pairprod" and len(rows) > 1:
+        values = np.array([r.value for r in rows], dtype=np.uint64)
+        return BitVec(width, affine_srext(values, width=width))
     merge = MERGE_STRATEGIES[strategy] if isinstance(strategy, str) else strategy
     level = list(rows)
     while len(level) > 1:

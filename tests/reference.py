@@ -299,6 +299,25 @@ def raw_certified_alpha(maps, n: int) -> Fraction:
     return min(ratio for ratio, _ in _raw_pooled_ratios(maps, n)) - 1
 
 
+def raw_sampled_alpha(maps, n: int, trials: int, rng) -> Fraction:
+    """The per-trial sampled alpha: each trial draws k, then random
+    k x n bases from rng until one has rank k, and ranks that basis's
+    pooled images on its own.  maps: per map, its int rows."""
+    best = None
+    for _ in range(trials):
+        k = rng.randrange(1, n // 2 + 1)
+        while True:
+            rows = tuple(rng.getrandbits(n) for _ in range(k))
+            if raw_rank(rows) == k:
+                break
+        images = [sum(raw_parity(m_row & r) << i for i, m_row in enumerate(mat))
+                  for mat in maps for r in rows]
+        ratio = Fraction(raw_rank(images), k)
+        if best is None or ratio < best:
+            best = ratio
+    return best - 1
+
+
 def raw_first_violation(maps, alpha: Fraction, n: int):
     """Basis rows of the first V whose ratio is below 1 + alpha, or None."""
     for ratio, rows in _raw_pooled_ratios(maps, n):

@@ -174,7 +174,7 @@ def test_criterion_06_pipeline_conformance():
         assert trace.enc_x.value == ref["enc"]
         for got, want in zip(trace.blocks, ref["blocks"]):
             assert [r.value for r in got.y_rows] == want["y_rows"]
-            assert [r.value for r in got.sr_rows] == want["sr"]
+            assert got.sr_rows.tolist() == want["sr"]
             assert got.r.value == want["r"]
             assert got.u.value == want["u"]
             assert got.h.value == want["h"]

@@ -1,11 +1,13 @@
 """CLI verbs and campaign determinism."""
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from gf2lab.bits import BitVec
 from gf2lab.cli import main, stable_json
+from gf2lab.daext import PipelineParams, daext
 from gf2lab.lbp import parity_program
 
 
@@ -49,6 +51,21 @@ class TestDaextCli:
         assert rep["input"] == "24:654321"
         assert len(json.loads(trace.read_text())["blocks"]) == 4
 
+    def test_run_output_is_daext(self, tmp_path):
+        # `run` derives the output from the z of its one pipeline pass
+        params = tmp_path / "p.json"
+        out = tmp_path / "r.json"
+        assert run(["daext", "params", "--n", 24, "--t-override", 4,
+                    "--seed", 7, "--out", params]) == 0
+        p = PipelineParams.from_json(json.loads(params.read_text()))
+        rng = random.Random(41)
+        for _ in range(2):
+            x = BitVec.random(24, rng)
+            assert run(["daext", "run", "--params", params, "--input",
+                        x.to_hex(), "--out", out]) == 0
+            rep = json.loads(out.read_text())
+            assert rep["output"] == daext(x, p).to_hex()
+
 
 class TestLbpCli:
     def test_eval_validate_cut(self, tmp_path, capsys):
@@ -76,6 +93,23 @@ class TestLbpCli:
         rep = json.loads(out.read_text())
         assert rep["srolbp_size"] == 5
         assert not rep["beats_trivial"]
+
+    def test_separation_demo_locked(self, tmp_path):
+        out = tmp_path / "sep.json"
+        assert run(["lbp", "separation-demo", "--n", 12, "--k", 6,
+                    "--seed", 3, "--out", out]) == 0
+        assert json.loads(out.read_text()) == {
+            "n": 12,
+            "k": 6,
+            "srolbp_size": 6,
+            "strongly_read_once": True,
+            "worst_catalog_correlation": "1983/4096",
+            "worst_catalog_member": "conj_all",
+            "trivial_constant_correlation": "31/64",
+            "beats_trivial": False,
+            "note": "the exponential ROBP lower bound is demonstrated "
+                    "against the catalog, not re-proved",
+        }
 
 
 class TestVerifyCli:

@@ -1,5 +1,7 @@
 """Pipeline conformance, advice sampling, and the disperser-to-extractor step."""
 from fractions import Fraction
+import hashlib
+import json
 import random
 
 import pytest
@@ -18,6 +20,28 @@ from gf2lab.daext import (
 from reference import reference_pipeline
 
 MINI = PipelineParams.mini()
+
+
+def assert_matches_reference(x: BitVec, p: PipelineParams) -> None:
+    z, trace = daext_core(x, p)
+    ref = reference_pipeline(x.value, p)
+    assert [r.value for r in trace.sc_rows] == ref["sc"]
+    assert [r.value for r in trace.xprime_rows] == ref["xprime"]
+    assert trace.enc_x.value == ref["enc"]
+    assert len(trace.blocks) == len(ref["blocks"])
+    for got, want in zip(trace.blocks, ref["blocks"]):
+        assert [r.value for r in got.y_rows] == want["y_rows"]
+        assert got.sr_rows.tolist() == want["sr"]
+        assert got.r.value == want["r"]
+        assert got.u.value == want["u"]
+        assert got.h.value == want["h"]
+        assert got.u_tilde.value == want["u_tilde"]
+        assert [r.value for r in got.sn_rows] == want["sn"]
+        assert got.y_tilde.value == want["y_tilde"]
+        assert got.w.value == want["w"]
+        assert got.v_bits.value == want["v"]
+    assert z.value == ref["z"]
+    assert daext(x, p).value == ref["out"]
 
 
 class TestAdvice:
@@ -85,25 +109,16 @@ class TestPipeline:
     def test_mini_matches_reference_stage_by_stage(self):
         rng = random.Random(205)
         for _ in range(8):
-            x = BitVec.random(24, rng)
-            z, trace = daext_core(x, MINI)
-            ref = reference_pipeline(x.value, MINI)
-            assert [r.value for r in trace.sc_rows] == ref["sc"]
-            assert [r.value for r in trace.xprime_rows] == ref["xprime"]
-            assert trace.enc_x.value == ref["enc"]
-            for got, want in zip(trace.blocks, ref["blocks"]):
-                assert [r.value for r in got.y_rows] == want["y_rows"]
-                assert [r.value for r in got.sr_rows] == want["sr"]
-                assert got.r.value == want["r"]
-                assert got.u.value == want["u"]
-                assert got.h.value == want["h"]
-                assert got.u_tilde.value == want["u_tilde"]
-                assert [r.value for r in got.sn_rows] == want["sn"]
-                assert got.y_tilde.value == want["y_tilde"]
-                assert got.w.value == want["w"]
-                assert got.v_bits.value == want["v"]
-            assert z.value == ref["z"]
-            assert daext(x, MINI).value == ref["out"]
+            assert_matches_reference(BitVec.random(24, rng), MINI)
+
+    def test_halved_blocks_match_reference_stage_by_stage(self):
+        # h2 = 1 gives 8 y rows per block, so the sr rows' order (x'
+        # rows outer, y rows inner) is checked as well as their values
+        p = PipelineParams.build(32, t_override=4, h2=1)
+        assert p.ell2 == 8
+        rng = random.Random(206)
+        for _ in range(2):
+            assert_matches_reference(BitVec.random(32, rng), p)
 
     def test_hard_checks_pass_and_soft_recorded(self):
         checks = MINI.validate()
@@ -122,6 +137,19 @@ class TestPipeline:
         js = MINI.to_json()
         assert js["widths"]["snm_source"] == 2 * (MINI.m_prime + MINI.k_adv + 1)
         assert js["row_counts"]["ell1p"] == 1 << MINI.a_bits
+
+    @pytest.mark.parametrize("name,digest", [
+        ("toy", "e45c8b908d5ecda4a252fc20acceedb016a7d479f8d30c52c4237a5f4495c74a"),
+        ("mini", "e8c692a38b3e234b431e7e2c3bc25a8ab7e209eeafafb0560d20be9c628554f2"),
+    ])
+    def test_builders_locked(self, name, digest):
+        # the expander search (sampled_alpha included) picks the same
+        # families, so the whole parameter record is unchanged
+        js = getattr(PipelineParams, name)().to_json()
+        text = json.dumps(js, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert [e["alpha"] for e in js["expanders"]] == (
+            ["1/2", "3/4", "1", "1"] if name == "toy" else ["1/3", "5/6"])
 
     def test_json_serializes(self):
         import json

@@ -14,7 +14,7 @@ from gf2lab.dimexp import (
     verify_dimension_expander,
 )
 from gf2lab.subspaces import enumerate_subspaces
-from reference import raw_certified_alpha, raw_first_violation
+from reference import raw_certified_alpha, raw_first_violation, raw_sampled_alpha
 
 
 def exhaustive_alpha_oracle(maps, n):
@@ -111,6 +111,27 @@ def test_sampled_alpha_not_below_exhaustive():
     rng = random.Random(33)
     e = search_dimension_expander(n=6, d=3, target_alpha=Fraction(1, 3), seed=5)
     assert sampled_alpha(e.maps, 6, 50, rng) >= e.alpha
+
+
+@pytest.mark.parametrize("n,trials", [(8, 60), (16, 60), (32, 40), (66, 12)])
+def test_sampled_alpha_matches_per_trial_oracle(n, trials):
+    # the same candidates from rng, ranked in batches per dimension; the
+    # rng is left where the per-trial loop leaves it.  n = 66 is wider
+    # than the kernels' 64-bit words.
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        maps = tuple(GF2Matrix.random_invertible(n, rng) for _ in range(3))
+        got_rng, want_rng = random.Random(seed + 50), random.Random(seed + 50)
+        got = sampled_alpha(maps, n, trials, got_rng)
+        want = raw_sampled_alpha([m.rows for m in maps], n, trials, want_rng)
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_sampled_alpha_needs_a_trial():
+    e = search_dimension_expander(n=4, d=3, target_alpha=Fraction(1, 4), seed=11)
+    with pytest.raises(ValueError):
+        sampled_alpha(e.maps, 4, 0, random.Random(0))
 
 
 def test_file_round_trip():

@@ -1,6 +1,7 @@
 """GF(2^k) field arithmetic against direct polynomial-reduction oracles."""
 import random
 
+import numpy as np
 import pytest
 
 from gf2lab.gf2k import (
@@ -113,3 +114,28 @@ def test_nonzero_element_indexing():
 def test_basis_elements():
     f = GF2kField(4)
     assert [f.basis_element(i) for i in range(1, 5)] == [1, 2, 4, 8]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_product_table_matches_mul_on_every_pair(k):
+    f = GF2kField(k)
+    table = f.product_table()
+    assert table.shape == (1 << k, 1 << k) and not table.flags.writeable
+    assert table.tolist() == [[f.mul(a, b) for b in range(1 << k)]
+                              for a in range(1 << k)]
+    assert f.product_table() is table  # built once per field
+
+
+def test_product_table_capped():
+    with pytest.raises(ValueError):
+        GF2kField(9).product_table()
+
+
+@pytest.mark.parametrize("k", (4, 9, 13, 24))
+def test_mul_array_matches_mul(k):
+    rng = random.Random(54 + k)
+    f = GF2kField(k)
+    a = [rng.getrandbits(k) for _ in range(200)] + [0, (1 << k) - 1]
+    b = [rng.getrandbits(k) for _ in range(200)] + [(1 << k) - 1, (1 << k) - 1]
+    got = f.mul_array(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+    assert got.tolist() == [f.mul(x, y) for x, y in zip(a, b)]

@@ -2,6 +2,7 @@
 from fractions import Fraction
 import random
 
+import numpy as np
 import pytest
 
 from gf2lab.affine import AffineSource
@@ -18,6 +19,8 @@ from gf2lab.xprims import (
     ip,
     lsext,
 )
+from gf2lab.gf2k import GF2kField
+from reference import raw_fold, raw_ip
 
 # GF(4) with modulus x^2+x+1; element bits (lsb = constant term)
 GF4_MUL = {
@@ -74,6 +77,46 @@ class TestIP:
             y = BitVec.random(7, rng)
             x2 = BitVec(7, x.value ^ (1 << 6))
             assert ip(x, y, 2) == ip(x2, y, 2)
+
+
+class TestArrayForms:
+    """The array forms of ip and affine_srext against their BitVec
+    wrappers and the per-point oracles of tests/reference.py."""
+
+    @pytest.mark.parametrize("width,m", [(4, 4), (6, 3), (8, 1), (7, 2),
+                                         (12, 12), (64, 8)])
+    def test_ip_rows(self, width, m):
+        rng = random.Random(64 + width + m)
+        xs = [rng.getrandbits(width) for _ in range(9)]
+        ys = [rng.getrandbits(width) for _ in range(5)]
+        got = ip(np.array(xs, dtype=np.uint64)[:, None],
+                 np.array(ys, dtype=np.uint64), m, width)
+        assert got.shape == (9, 5)
+        field = GF2kField(m)
+        for i, xv in enumerate(xs):
+            for j, yv in enumerate(ys):
+                want = ip(BitVec(width, xv), BitVec(width, yv), m)
+                assert int(got[i, j]) == want.value
+                assert want.value == raw_ip(xv, yv, width, m, field)
+
+    def test_ip_rows_refused_beyond_64_bits(self):
+        with pytest.raises(ValueError):
+            ip(BitVec(72, 1), BitVec(72, 1), 8)
+
+    @pytest.mark.parametrize("width", (1, 4, 6, 8, 11))
+    @pytest.mark.parametrize("count", (1, 2, 5, 8, 13))
+    def test_affine_srext_rows(self, width, count):
+        rng = random.Random(65 + 16 * width + count)
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        got = affine_srext(np.array(rows, dtype=np.uint64), width=width)
+        want = affine_srext([BitVec(width, v) for v in rows])
+        assert got == want.value == raw_fold(rows, width, GF2kField(width))
+
+    def test_affine_srext_rows_refused(self):
+        with pytest.raises(ValueError):
+            affine_srext(np.array([3, 16], dtype=np.uint64), width=4)
+        with pytest.raises(ValueError):
+            affine_srext(np.array([3, 5], dtype=np.uint64), "sliceseed", width=4)
 
 
 def ip_two_source_distance(V: GF2Matrix, W: GF2Matrix, t: int, n: int) -> Fraction:
