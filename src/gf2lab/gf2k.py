@@ -47,7 +47,7 @@ def _mul_arrays(a, b, modulus: int) -> np.ndarray:
     return prod
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one read-only table of <= 64 KiB per field of degree <= 8
 def _product_table(modulus: int) -> np.ndarray:
     elts = np.arange(1 << (modulus.bit_length() - 1), dtype=np.uint64)
     table = _mul_arrays(elts[:, None], elts, modulus).astype(np.uint8)
