@@ -133,7 +133,7 @@ def cmd_condense(args) -> int:
         rep = verify_affine_condenser(
             cond, args.k, Fraction(args.gamma), mode=mode,
             samples=args.samples, rng=random.Random(args.seed),
-            workers=args.workers, budget=args.budget,
+            budget=args.budget,
         )
         print(f"runtime: {rep.runtime_seconds:.2f}s", file=sys.stderr)
         _emit(rep.to_json(), args)
@@ -365,6 +365,8 @@ def cmd_campaign(args) -> int:
         argv += ["--seed", str(seed), "--out", str(outdir / name)]
         try:
             rc = main(argv)
+        except SystemExit as exc:  # argparse refused the step's argv
+            rc = exc.code
         except Exception as exc:  # collected, not swallowed
             failures.append({"step": i, "verb": verb, "error": str(exc)})
             continue
@@ -383,8 +385,6 @@ def cmd_campaign(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for exhaustive sweeps")
     common.add_argument("--budget", type=int, default=1 << 31)
     common.add_argument("--json", action="store_true",
                         help="print reports as JSON")

@@ -249,7 +249,7 @@ class AffineCondenserReport:
 
 def min_rank_fold(
     blocks: Iterable[np.ndarray], map_cols: np.ndarray, m_out: int,
-    threshold: int, workers: int = 1,
+    threshold: int,
 ) -> tuple[int, int, tuple[int, ...] | None, int]:
     """Stream blocks of bases through `condenser_sweep`.
 
@@ -260,7 +260,7 @@ def min_rank_fold(
     checked = failures = 0
     min_best, argmin_rows = -1, None
     for offset, chunk, (best, idx, below) in sweep_chunks(
-        blocks, condenser_sweep, map_cols, m_out, threshold, workers=workers
+        blocks, condenser_sweep, map_cols, m_out, threshold
     ):
         failures += below
         if min_best < 0 or best < min_best:
@@ -277,11 +277,9 @@ def verify_affine_condenser(
     samples: int = 0,
     rng=None,
     budget: int = 1 << 21,
-    workers: int = 1,
 ) -> AffineCondenserReport:
     """For every k-dim subspace X, the best row rank max_r rank(M_r|X);
-    reports min over X against the threshold ceil(gamma_target * m_out).
-    `workers` > 1 spreads the chunks over a process pool."""
+    reports min over X against the threshold ceil(gamma_target * m_out)."""
     threshold = math.ceil(gamma_target * cond.m_out)
     map_cols = np.array(
         [m.transpose().rows for m in cond.row_maps], dtype=np.uint64
@@ -309,7 +307,7 @@ def verify_affine_condenser(
         raise ValueError(f"unknown mode {mode!r}")
 
     checked, min_best, argmin_rows, failures = min_rank_fold(
-        blocks, map_cols, cond.m_out, threshold, workers)
+        blocks, map_cols, cond.m_out, threshold)
     witness = GF2Matrix(argmin_rows, cond.n_in) if argmin_rows else None
     return AffineCondenserReport(
         kind=cond.kind,

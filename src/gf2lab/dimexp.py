@@ -77,6 +77,11 @@ def _image_rank(maps: Sequence[GF2Matrix], rows: Sequence[int], n: int) -> int:
     return rank_words([m.mul_vec(r) for m in maps for r in rows], n)
 
 
+def _check_degree(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"an expander family needs degree d >= 1, got d={d}")
+
+
 def _subspace_budget(n: int) -> int:
     return sum(gaussian_binomial(n, k) for k in range(1, n // 2 + 1))
 
@@ -86,6 +91,7 @@ def _rank_sweeps(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(k, chunk, ranks of the pooled images) over every subspace with
     dim in [1, n/2], in canonical order, k by k."""
+    _check_degree(len(maps))
     if _subspace_budget(n) > budget:
         raise BudgetExceeded(f"exhaustive certification infeasible at n={n}")
     tabs = byte_tables([m.transpose().rows for m in maps], n)
@@ -133,6 +139,7 @@ def sampled_alpha(
     Each trial draws a dimension k and a random full-rank k x n basis;
     the bases are then ranked together, k by k, on the pooled images.
     """
+    _check_degree(len(maps))
     bases: dict[int, list[tuple[int, ...]]] = {}
     for _ in range(trials):
         k = rng.randrange(1, n // 2 + 1)
@@ -166,6 +173,7 @@ def search_dimension_expander(
     With sampled_trials unset the certificate is exhaustive (n must be
     small); otherwise each candidate is screened on sampled subspaces.
     """
+    _check_degree(d)
     rng = random.Random(seed)
     for _ in range(max_tries):
         maps = tuple(GF2Matrix.random_invertible(n, rng) for _ in range(d))

@@ -2,8 +2,9 @@
 
 One fixed low-weight irreducible modulus per k (the minimal-weight,
 then minimal-value polynomial), shipped as data in data/moduli.txt and
-certified at load by exhaustive trial division (k <= 24).  Elements
-are k-bit ints in the polynomial basis b_i = x^(i-1).
+certified at load by Rabin's irreducibility test, which is exact at
+every degree; so is every caller-supplied modulus.  Elements are k-bit
+ints in the polynomial basis b_i = x^(i-1).
 
 `GF2kField.mul_array` multiplies whole arrays of elements: fields with
 k <= 8 read a product table, built on first use and cached per modulus;
@@ -18,7 +19,6 @@ from importlib import resources
 
 import numpy as np
 
-CERTIFY_CAP = 24
 TABLE_CAP = 8  # product tables up to 2^8 x 2^8 bytes
 
 
@@ -60,21 +60,6 @@ def polymod(a: int, m: int) -> int:
     while a and a.bit_length() - 1 >= dm:
         a ^= m << (a.bit_length() - 1 - dm)
     return a
-
-
-def is_irreducible_bruteforce(p: int) -> bool:
-    """Trial division by every polynomial of degree 1..deg(p)//2."""
-    k = p.bit_length() - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    if not (p & 1):  # divisible by x
-        return False
-    for d in range(2, 1 << (k // 2 + 1)):
-        if d.bit_length() >= 2 and polymod(p, d) == 0:
-            return False
-    return True
 
 
 def _poly_gcd(a: int, b: int) -> int:
@@ -150,10 +135,7 @@ class GF2kField:
             object.__setattr__(self, "modulus", MODULUS_TABLE[self.k])
         if self.modulus.bit_length() - 1 != self.k:
             raise ValueError("modulus degree does not match k")
-        # exhaustive factor search up to the cap, Rabin's exact test beyond
-        cert = (is_irreducible_bruteforce if self.k <= CERTIFY_CAP
-                else is_irreducible_rabin)
-        if not cert(self.modulus):
+        if not is_irreducible_rabin(self.modulus):
             raise ValueError(f"modulus 0x{self.modulus:x} is reducible")
 
     def _check(self, *elts: int) -> None:
@@ -222,8 +204,7 @@ def load_modulus_table(text: str) -> dict[int, int]:
             continue
         ks, _, hx = line.partition(":")
         k, v = int(ks), int(hx, 16)
-        cert = is_irreducible_bruteforce if k <= CERTIFY_CAP else is_irreducible_rabin
-        if not cert(v):
+        if not is_irreducible_rabin(v):
             raise ValueError(f"modulus 0x{v:x} for k={k} is reducible")
         out[k] = v
     return out

@@ -266,6 +266,8 @@ def _f_table(f, n: int) -> np.ndarray:
     if isinstance(f, LinearBP):
         return f.eval_all()
     if isinstance(f, np.ndarray):
+        if f.shape != (1 << n,):
+            raise ValueError("truth table length mismatch")
         return f.astype(bool)
     if isinstance(f, BitVec):
         if f.n != 1 << n:

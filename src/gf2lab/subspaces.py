@@ -20,8 +20,6 @@ into such blocks.
 """
 from __future__ import annotations
 
-from collections import deque
-from functools import partial
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -135,12 +133,8 @@ def pack_bases(bases: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
         yield np.array(buf, dtype=np.uint64)
 
 
-def _call_kernel(kernel: Callable, args: tuple, chunk: np.ndarray):
-    return kernel(chunk, *args)
-
-
 def sweep_chunks(
-    blocks: Iterable[np.ndarray], kernel: Callable, *args, workers: int = 1
+    blocks: Iterable[np.ndarray], kernel: Callable, *args
 ) -> Iterator[tuple[int, np.ndarray, object]]:
     """Run `kernel(chunk, *args)` on each block of bases.
 
@@ -148,32 +142,12 @@ def sweep_chunks(
     `rref_blocks` or `pack_bases`.  Yields (offset, chunk, result) in
     enumeration order, where offset is the index of the chunk's first
     basis, so a caller may stop early and read witness rows straight
-    from the chunk.  With workers > 1 the chunks go through a process
-    pool's `imap`, whose task feeder blocks until a worker reads the
-    previous chunk, so only a few chunks are in memory at once.  The
-    kernel and its args must then be picklable.
+    from the chunk.
     """
-    run = partial(_call_kernel, kernel, args)
     offset = 0
-    if workers <= 1:
-        for chunk in blocks:
-            yield offset, chunk, run(chunk)
-            offset += len(chunk)
-        return
-    import multiprocessing
-
-    sent: deque[np.ndarray] = deque()
-
-    def feed() -> Iterator[np.ndarray]:
-        for chunk in blocks:
-            sent.append(chunk)
-            yield chunk
-
-    with multiprocessing.Pool(workers) as pool:
-        for result in pool.imap(run, feed()):
-            chunk = sent.popleft()
-            yield offset, chunk, result
-            offset += len(chunk)
+    for chunk in blocks:
+        yield offset, chunk, kernel(chunk, *args)
+        offset += len(chunk)
 
 
 def span_points(basis_rows: Sequence[int]) -> list[int]:

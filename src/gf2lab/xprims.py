@@ -10,7 +10,6 @@ Call sites that only hold a short string extend it cyclically
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -209,67 +208,33 @@ def extract_with_short_seed(
     return ext.extract(x, expand_seed(short_seed, ext.d))
 
 
-MergeFn = Callable[[BitVec, BitVec], BitVec]
-
-
-def _merge_pairprod(u: BitVec, v: BitVec) -> BitVec:
-    return BitVec(u.n, _field(u.n).mul(u.value, v.value))
-
-
-def _merge_sliceseed(u: BitVec, v: BitVec) -> BitVec:
-    ext = ToeplitzExtractor(v.n, v.n)
-    return ext.extract(v, expand_seed(u, ext.d))
-
-
-MERGE_STRATEGIES: dict[str, MergeFn] = {
-    "pairprod": _merge_pairprod,
-    "sliceseed": _merge_sliceseed,
-}
-
-
-def affine_srext(
-    rows, strategy: str | MergeFn = "pairprod", width: int | None = None
-):
+def affine_srext(rows, width: int | None = None):
     """Fold the rows of a somewhere-random source into one string.
 
-    t = 1 returns the row unchanged.  The default strategy multiplies
-    pairs in GF(2^r) (width-preserving; an odd row is squared), so a
-    source whose rows are all equal and uniform folds to an iterated
-    square of a uniform field element, which is exactly uniform.
-    Strategies are pluggable by name or callable.
+    t = 1 returns the row unchanged.  Pairs are multiplied in GF(2^r)
+    (width-preserving; an odd row is squared), so a source whose rows
+    are all equal and uniform folds to an iterated square of a uniform
+    field element, which is exactly uniform.
 
-    rows are BitVecs, or, for "pairprod" only, an array of `width`-bit
-    row values, folded level by level with array products into an int;
-    the BitVec "pairprod" fold is the array fold of their values.
+    rows are an array of `width`-bit row values, folded level by level
+    with array products into an int, or BitVecs, whose fold is the
+    array fold of their values.
     """
     if len(rows) == 0:
         raise ValueError("need at least one row")
-    if not isinstance(rows[0], BitVec):
-        if strategy != "pairprod":
-            raise ValueError("array rows fold with the pairprod strategy only")
-        if width is None:
-            raise ValueError("array rows need their width")
-        level = np.asarray(rows, dtype=np.uint64)
-        if int(level.max()) >> width:
-            raise ValueError(f"rows must be {width}-bit values")
-        while len(level) > 1:
-            if len(level) % 2:
-                level = np.append(level, level[-1])
-            level = _field(width).mul_array(level[0::2], level[1::2])
-        return int(level[0])
-    width = rows[0].n
-    if any(r.n != width for r in rows):
-        raise ValueError("ragged rows")
-    if strategy == "pairprod" and len(rows) > 1:
+    if isinstance(rows[0], BitVec):
+        width = rows[0].n
+        if any(r.n != width for r in rows):
+            raise ValueError("ragged rows")
         values = np.array([r.value for r in rows], dtype=np.uint64)
         return BitVec(width, affine_srext(values, width=width))
-    merge = MERGE_STRATEGIES[strategy] if isinstance(strategy, str) else strategy
-    level = list(rows)
+    if width is None:
+        raise ValueError("array rows need their width")
+    level = np.asarray(rows, dtype=np.uint64)
+    if int(level.max()) >> width:
+        raise ValueError(f"rows must be {width}-bit values")
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(merge(level[i], level[i + 1]))
         if len(level) % 2:
-            nxt.append(merge(level[-1], level[-1]))
-        level = nxt
-    return level[0]
+            level = np.append(level, level[-1])
+        level = _field(width).mul_array(level[0::2], level[1::2])
+    return int(level[0])

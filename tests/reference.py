@@ -90,6 +90,20 @@ def raw_fold(rows: list[int], width: int, field: GF2kField) -> int:
     return level[0]
 
 
+def is_irreducible_bruteforce(p: int) -> bool:
+    """Trial division of p by every polynomial of degree 1..deg(p)//2."""
+    k = p.bit_length() - 1
+    if k < 1:
+        return False
+    for d in range(2, 1 << (k // 2 + 1)):
+        rem, dd = p, d.bit_length() - 1
+        while rem.bit_length() - 1 >= dd:
+            rem ^= d << (rem.bit_length() - 1 - dd)
+        if rem == 0:
+            return False
+    return True
+
+
 def raw_advice(u1: int, enc: int, k_blocks: int, block_bits: int = 8,
                index_bits: int = 3) -> int:
     out = 0

@@ -1,12 +1,15 @@
 """CLI verbs and campaign determinism."""
 import json
 import random
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gf2lab.bits import BitVec
-from gf2lab.cli import main, stable_json
+from gf2lab.cli import build_parser, main, stable_json
 from gf2lab.daext import PipelineParams, daext
 from gf2lab.lbp import parity_program
 
@@ -175,6 +178,26 @@ class TestInjectorCli:
         assert Fraction(measured.value) == Fraction(rep["bias"])
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [ln for block in blocks for ln in block.splitlines()
+             if ln.startswith("gf2lab ")]
+    assert len(lines) >= 11
+    for ln in lines:
+        build_parser().parse_args(shlex.split(ln)[1:])
+
+
+@pytest.mark.parametrize("extra", [[], ["--sampled-trials", 10]])
+def test_expander_of_degree_zero_refused(tmp_path, extra):
+    with pytest.raises(ValueError, match="degree d >= 1, got d=0"):
+        run(["condense", "expander", "--n", 4, "--d", 0,
+             "--out", tmp_path / "e.txt"] + extra)
+    assert not (tmp_path / "e.txt").exists()
+
+
 class TestCampaign:
     def test_empty_campaign(self, tmp_path):
         cfile = tmp_path / "c.json"
@@ -189,12 +212,18 @@ class TestCampaign:
         cfile.write_text(json.dumps({
             "steps": [{"verb": "injector",
                        "argv": ["injector", "verify",
-                                "--injector", "/nonexistent"]}]
+                                "--injector", "/nonexistent"]},
+                      {"verb": "verify", "positional": ["directional"],
+                       "args": {"f": "builtin:ip", "n": 4, "workers": 2}},
+                      {"verb": "verify", "positional": ["directional"],
+                       "args": {"f": "builtin:ip", "n": 4}}]
         }))
         assert run(["campaign", "run", "--file", cfile,
                     "--out", tmp_path / "o"]) == 1
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-        assert len(summary["failures"]) == 1
+        assert [f["step"] for f in summary["failures"]] == [0, 1]
+        assert summary["failures"][1]["error"] == "exit 2"
+        assert (tmp_path / "o" / "step_002_verify.json").exists()
 
     def test_reruns_byte_identical_and_match_direct(self, tmp_path):
         cfile = tmp_path / "c.json"

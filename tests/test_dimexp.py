@@ -134,6 +134,19 @@ def test_sampled_alpha_needs_a_trial():
         sampled_alpha(e.maps, 4, 0, random.Random(0))
 
 
+def test_empty_family_refused():
+    with pytest.raises(ValueError, match="degree d >= 1, got d=0"):
+        search_dimension_expander(n=4, d=0)
+    with pytest.raises(ValueError, match="degree d >= 1, got d=0"):
+        search_dimension_expander(n=4, d=0, sampled_trials=10)
+    with pytest.raises(ValueError, match="degree d >= 1, got d=0"):
+        certified_alpha((), 4)
+    with pytest.raises(ValueError, match="degree d >= 1, got d=0"):
+        verify_dimension_expander((), Fraction(0), 4)
+    with pytest.raises(ValueError, match="degree d >= 1, got d=0"):
+        sampled_alpha((), 4, 10, random.Random(0))
+
+
 def test_file_round_trip():
     e = search_dimension_expander(n=4, d=3, target_alpha=Fraction(1, 4), seed=11)
     e2 = DimExpander.from_text(e.to_text())

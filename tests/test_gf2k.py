@@ -8,11 +8,12 @@ from gf2lab.gf2k import (
     GF2kField,
     MODULUS_TABLE,
     clmul,
-    is_irreducible_bruteforce,
+    is_irreducible_rabin,
     load_modulus_table,
     modulus_table_text,
     polymod,
 )
+from reference import is_irreducible_bruteforce
 
 
 def coefficient_list_mul_oracle(a: int, b: int, modulus: int) -> int:
@@ -34,6 +35,19 @@ def test_modulus_table_certified():
     for k, p in MODULUS_TABLE.items():
         assert p.bit_length() - 1 == k
         assert is_irreducible_bruteforce(p)
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_rabin_matches_trial_division(k):
+    for p in range(1 << k, 1 << (k + 1)):
+        assert is_irreducible_rabin(p) == is_irreducible_bruteforce(p), hex(p)
+
+
+def test_caller_modulus_certified_beyond_shipped_degrees():
+    assert GF2kField(32, modulus=0x10000008d).k == 32
+    # the square of the shipped k = 16 modulus 0x1002b
+    with pytest.raises(ValueError, match="reducible"):
+        GF2kField(32, modulus=0x100000445)
 
 
 def test_table_round_trip():

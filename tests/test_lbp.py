@@ -2,6 +2,7 @@
 from fractions import Fraction
 import random
 
+import numpy as np
 import pytest
 
 from gf2lab.affine import AffineSource
@@ -171,6 +172,14 @@ class TestCorrelation:
             if abs(est - exact) <= radius:
                 hits += 1
         assert hits >= 38  # 99% confidence radius
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+    @pytest.mark.parametrize("length", [1, 15, 17, 32])
+    def test_table_of_wrong_length_refused(self, mode, length):
+        prog = parity_program(4, [0, 1])
+        with pytest.raises(ValueError, match="truth table length mismatch"):
+            correlation(prog, np.ones(length, dtype=bool), mode=mode,
+                        samples=10)
 
     def test_budget(self):
         from gf2lab.subspaces import BudgetExceeded

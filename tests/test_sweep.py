@@ -1,5 +1,5 @@
 """The streaming sweep driver and its block enumerator: order, chunk
-boundaries, early exit, process pool."""
+boundaries, early exit."""
 from fractions import Fraction
 import random
 
@@ -34,8 +34,8 @@ def sweeps() -> list[tuple[str, dict]]:
     return [(r.value, r.witness) for r in reps]
 
 
-def condenser_fields(**kwargs) -> dict:
-    rep = verify_affine_condenser(IDENTITY_COND, 2, Fraction(1, 2), **kwargs)
+def condenser_fields() -> dict:
+    rep = verify_affine_condenser(IDENTITY_COND, 2, Fraction(1, 2))
     return dict(rep.to_json(), runtime_seconds=None)
 
 
@@ -85,11 +85,6 @@ def test_chunks_grow_from_first_to_sweep_chunk(monkeypatch):
              subspaces.sweep_chunks(subspaces.rref_blocks(5, 2), len)]
     assert subspaces.gaussian_binomial(5, 2) == 155 == 2 + 4 + 21 * 7 + 2
     assert sizes == [2, 4] + [7] * 21 + [2]
-
-
-def test_pool_matches_in_process(monkeypatch):
-    monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
-    assert condenser_fields(workers=2) == condenser_fields(workers=1)
 
 
 def test_chunk_constant_shared():

@@ -115,8 +115,6 @@ class TestArrayForms:
     def test_affine_srext_rows_refused(self):
         with pytest.raises(ValueError):
             affine_srext(np.array([3, 16], dtype=np.uint64), width=4)
-        with pytest.raises(ValueError):
-            affine_srext(np.array([3, 5], dtype=np.uint64), "sliceseed", width=4)
 
 
 def ip_two_source_distance(V: GF2Matrix, W: GF2Matrix, t: int, n: int) -> Fraction:
@@ -312,14 +310,6 @@ class TestAffineSRExt:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             affine_srext([BitVec(4), BitVec(5)])
-
-    def test_sliceseed_strategy_runs(self):
-        rng = random.Random(69)
-        rows = [BitVec.random(8, rng) for _ in range(3)]
-        out = affine_srext(rows, strategy="sliceseed")
-        assert out.n == 8
-        out2 = affine_srext(rows, strategy=lambda u, v: u ^ v)
-        assert out2 == rows[0] ^ rows[1] ^ rows[2] ^ rows[2]
 
 
 class TestCodes:
