@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bits import BitVec
-from .xprims import ToeplitzExtractor, extract_with_short_seed
+from .xprims import ToeplitzExtractor, extract_with_short_seed, toeplitz_array
 
 # stage-degree rule for an extractor that is linear in its source and
 # has joint degree D (so each monomial carries at most D-1 seed bits):
@@ -38,6 +40,19 @@ class Check:
                 "detail": self.detail}
 
 
+def _require_hard(checks: Sequence[Check], what: str) -> None:
+    """Raise on the first failed hard check: the parameter records run
+    this once, when built, so no record that fails one exists."""
+    for c in checks:
+        if c.hard and not c.ok:
+            raise ValueError(f"{what}: {c.name} ({c.detail})")
+
+
+def _low(values, width: int):
+    """The low `width` bits of each value: Slice over arrays."""
+    return values & ((1 << width) - 1)
+
+
 @dataclass(frozen=True)
 class LaParams:
     """Widths for the two-round look-ahead extraction on (ns, nd) inputs."""
@@ -49,6 +64,9 @@ class LaParams:
     m1: int  # width of the look-ahead row r~0
     m2: int  # width of the back-extraction s1
     m: int   # width of r1 (and of r0, sliced from r~0)
+
+    def __post_init__(self) -> None:
+        _require_hard(self.checks(), "invalid la params")
 
     @classmethod
     def default(cls, ns: int, nd: int, t: int) -> "LaParams":
@@ -85,15 +103,21 @@ def la_ext(x: BitVec, y: BitVec, p: LaParams) -> tuple[BitVec, BitVec]:
     """
     if x.n != p.ns or y.n != p.nd:
         raise ValueError(f"expected ({p.ns}, {p.nd}) bits, got ({x.n}, {y.n})")
-    for c in p.checks():
-        if c.hard and not c.ok:
-            raise ValueError(f"invalid la params: {c.name} ({c.detail})")
     s0 = y.take(p.s)
     r0t = extract_with_short_seed(ToeplitzExtractor(p.ns, p.m1), x, s0)
     s1 = extract_with_short_seed(ToeplitzExtractor(p.nd, p.m2), y, r0t)
     r1 = extract_with_short_seed(ToeplitzExtractor(p.ns, p.m), x, s1)
     r0 = r0t.take(p.m)
     return r0, r1
+
+
+def la_ext_array(x, y, p: LaParams) -> tuple[np.ndarray, np.ndarray]:
+    """`la_ext` over broadcastable arrays of ns-bit x and nd-bit y (x
+    may be one int), stage by stage through `toeplitz_array`."""
+    r0t = toeplitz_array(x, _low(y, p.s), p.ns, p.m1, p.s)
+    s1 = toeplitz_array(y, r0t, p.nd, p.m2, p.m1)
+    r1 = toeplitz_array(x, s1, p.ns, p.m, p.m2)
+    return _low(r0t, p.m), r1
 
 
 @dataclass(frozen=True)
@@ -105,6 +129,9 @@ class NipmParams:
     mv: int  # row width
     s_widths: tuple[int, ...]  # widths of s_1..s_ell
     r_widths: tuple[int, ...]  # widths of r_1..r_(ell-1)
+
+    def __post_init__(self) -> None:
+        _require_hard(self.checks(), "invalid nipm params")
 
     @classmethod
     def constant(cls, ns: int, ell: int, mv: int, w: int | None = None) -> "NipmParams":
@@ -136,10 +163,11 @@ class NipmParams:
         return self.s_widths[-1]
 
     def checks(self) -> list[Check]:
+        s1 = self.s_widths[0] if self.s_widths else 0
         out = [
             Check("nipm.rows_positive", self.ell >= 1, True, f"ell={self.ell}"),
-            Check("nipm.first_slice_fits", self.s_widths[0] <= self.mv, True,
-                  f"s1={self.s_widths[0]} <= m={self.mv}"),
+            Check("nipm.first_slice_fits", s1 <= self.mv, True,
+                  f"s1={s1} <= m={self.mv}"),
             Check("nipm.widths_positive",
                   min(self.s_widths + self.r_widths, default=1) >= 1, True,
                   str(self.s_widths + self.r_widths)),
@@ -165,15 +193,24 @@ def nipm(x: BitVec, rows: Sequence[BitVec], p: NipmParams) -> BitVec:
         raise ValueError(f"expected {p.ell} rows")
     if any(r.n != p.mv for r in rows):
         raise ValueError(f"rows must have {p.mv} bits")
-    for c in p.checks():
-        if c.hard and not c.ok:
-            raise ValueError(f"invalid nipm params: {c.name} ({c.detail})")
     s = rows[0].take(p.s_widths[0])
     for i in range(p.ell - 1):
         r = extract_with_short_seed(ToeplitzExtractor(p.ns, p.r_widths[i]), x, s)
         s = extract_with_short_seed(
             ToeplitzExtractor(p.mv, p.s_widths[i + 1]), rows[i + 1], r
         )
+    return s
+
+
+def nipm_array(x, rows: Sequence[np.ndarray], p: NipmParams) -> np.ndarray:
+    """`nipm` over broadcastable arrays: an ns-bit source (or one int)
+    and ell arrays of mv-bit rows."""
+    if len(rows) != p.ell:
+        raise ValueError(f"expected {p.ell} rows")
+    s = _low(rows[0], p.s_widths[0])
+    for i in range(p.ell - 1):
+        r = toeplitz_array(x, s, p.ns, p.r_widths[i], p.s_widths[i])
+        s = toeplitz_array(rows[i + 1], r, p.mv, p.s_widths[i + 1], p.r_widths[i])
     return s
 
 
@@ -187,6 +224,16 @@ def ff_assign(r0: BitVec, r1: BitVec, alpha: BitVec) -> list[BitVec]:
             out.extend((r1, r0))
         else:
             out.extend((r0, r1))
+    return out
+
+
+def ff_assign_array(r0, r1, advice, a: int) -> list[np.ndarray]:
+    """`ff_assign` over broadcastable arrays of rows and a-bit advice."""
+    advice = np.asarray(advice, dtype=np.uint64)
+    out = []
+    for j in range(a):
+        bit = (advice >> np.uint64(j)) & 1 == 1
+        out.extend((np.where(bit, r1, r0), np.where(bit, r0, r1)))
     return out
 
 
@@ -217,6 +264,9 @@ class CBParams:
     const_c1: float = 1.0
     const_eta: float = 0.5
     profile_degree: int = 2  # joint degree of one extraction stage
+
+    def __post_init__(self) -> None:
+        _require_hard(self.checks(), "parameter check failed")
 
     @classmethod
     def toy(
@@ -368,9 +418,22 @@ def ldacb(x: BitVec, y: BitVec, advice: BitVec, p: CBParams) -> BitVec:
         raise ValueError(f"expected ({p.n}, {p.d}) bits, got ({x.n}, {y.n})")
     if advice.n != p.a:
         raise ValueError(f"advice must have {p.a} bits")
-    p.validate(strict=False)
     s = y.take(p.acb_slice)
     q = extract_with_short_seed(ToeplitzExtractor(p.n, p.acb_q), x, s)
     r0, r1 = la_ext(y, q, p.la)
     rows = ff_assign(r0, r1, advice)
     return nipm(x, rows, p.merge)
+
+
+def ldacb_array(x, y, advice, p: CBParams) -> np.ndarray:
+    """`ldacb` over N (x, y, advice) triples: broadcastable arrays of
+    n-bit x (or one int x shared by every triple), d-bit y and a-bit
+    advice give an array of n2-bit outputs."""
+    advice = np.asarray(advice, dtype=np.uint64)
+    if advice.size and int(advice.max()) >> p.a:
+        raise ValueError(f"advice must have {p.a} bits")
+    y = np.asarray(y, dtype=np.uint64)
+    q = toeplitz_array(x, _low(y, p.acb_slice), p.n, p.acb_q, p.acb_slice)
+    r0, r1 = la_ext_array(y, q, p.la)
+    rows = ff_assign_array(r0, r1, advice, p.a)
+    return nipm_array(x, rows, p.merge)

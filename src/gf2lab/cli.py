@@ -193,14 +193,14 @@ def cmd_cbreak(args) -> int:
     else:
         p = CBParams.toy(n=args.n, d=args.d, t=args.t, a=args.a,
                          eps_budget=args.eps)
-    checks = p.checks()
-    rep = p.to_json()
-    for c in checks:
-        status = "ok" if c.ok else ("HARD FAIL" if c.hard else "soft fail")
+    # a CBParams that fails a hard check raises when built, so every
+    # failure listed here is a soft one
+    for c in p.checks():
+        status = "ok" if c.ok else "soft fail"
         print(f"{c.name:28s} {status:10s} {c.detail}")
     if getattr(args, "out", None) or args.json:
-        _emit(rep, args)
-    return 0 if all(c.ok for c in checks if c.hard) else 1
+        _emit(p.to_json(), args)
+    return 0
 
 
 def cmd_lbp(args) -> int:

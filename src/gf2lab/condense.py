@@ -5,19 +5,21 @@ x1, x2, x1+T_i(x2), x2+T_i(x1) over a dimension expander {T_i}; the
 general-source variant appends x1+x2.  Iterated condensers apply the
 basic step to every row, depth-first, halving the width each time.
 Every condenser is exposed both as explicit row matrices and as a
-recursive evaluator, and the two are tested against each other.
+recursive evaluator, per point or over arrays of points, and the forms
+are tested against each other.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import condenser_sweep
+from ._kernels import byte_tables, condenser_sweep, map_images
 from .bits import BitVec, GF2Matrix
 from .dimexp import DimExpander
 from .dist import ExactDist, min_entropy_distance
@@ -204,7 +206,8 @@ def sgcond(family: ExpanderFamily, n: int, delta: Fraction) -> SomewhereCondense
 def eval_recursive(
     family: ExpanderFamily, x: BitVec, h: int, general: bool
 ) -> list[BitVec]:
-    """Direct evaluation of the iterated algorithm, bypassing matrices."""
+    """Direct evaluation of the iterated algorithm, bypassing matrices:
+    the per-point second route to `eval_recursive_array`."""
     rows = [x]
     for _ in range(h):
         e = family(rows[0].n // 2)
@@ -219,6 +222,43 @@ def eval_recursive(
                 out.append(x1 ^ x2)
             nxt.extend(out)
         rows = nxt
+    return rows
+
+
+@lru_cache(maxsize=64)  # keyed by content: equal maps share one entry
+def _expander_tables(width: int, maps: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """`byte_tables` of square `width`-bit maps given by their rows."""
+    return byte_tables([GF2Matrix(rows, width).transpose().rows for rows in maps],
+                       width)
+
+
+def eval_recursive_array(
+    family: ExpanderFamily, points, width: int, h: int, general: bool
+) -> np.ndarray:
+    """`eval_recursive` over arrays: (...) `width`-bit points give
+    (..., rows) row values, in the same row order.
+
+    One level at a time, every row splits into halves (x1, x2), and
+    each expander map is applied to all halves at once through its byte
+    tables.  An int point may be wider than 64 bits when its halves are
+    not.
+    """
+    rows = np.asarray(points, dtype=np.uint64 if width <= 64 else object)[..., None]
+    for _ in range(h):
+        half = width // 2
+        if half > 64:
+            raise ValueError("condenser rows are limited to 64 bits")
+        e = family(half)
+        x1 = (rows & ((1 << half) - 1)).astype(np.uint64)
+        x2 = (rows >> half).astype(np.uint64)
+        tabs = _expander_tables(half, tuple(t.rows for t in e.maps))
+        out = [x1, x2]
+        for t1, t2 in zip(map_images(x2, tabs), map_images(x1, tabs)):
+            out += [x1 ^ t1, x2 ^ t2]
+        if general:
+            out.append(x1 ^ x2)
+        rows = np.stack(out, axis=-1).reshape(*x1.shape[:-1], -1)
+        width = half
     return rows
 
 

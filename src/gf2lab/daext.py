@@ -25,13 +25,17 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import BitVec, GF2Matrix
-from .cbreak import CBParams, Check, LaParams, NipmParams, ldacb, stage_degree
+from .cbreak import CBParams, Check, LaParams, NipmParams, ldacb_array, stage_degree
 from .codes import LinearCode, extended_hamming_8_4, tiled_code
-from .condense import eval_recursive, expander_family
+from .condense import eval_recursive_array, expander_family
 from .dimexp import DimExpander, standard_family
 from .gf2k import GF2kField
 from .snmext import query_matrix
-from .xprims import ToeplitzExtractor, affine_srext, extract_with_short_seed, ip
+from .xprims import affine_srext, ip, toeplitz_array
+# Unused here; perfbench's layer tracer still binds these per-point names.
+from .cbreak import ldacb  # noqa: F401
+from .condense import eval_recursive  # noqa: F401
+from .xprims import extract_with_short_seed  # noqa: F401
 
 ENC_BLOCK_BITS = 8
 ENC_INDEX_BITS = 3
@@ -84,7 +88,7 @@ def advice_collision_probability(
 
 @dataclass
 class BlockTrace:
-    y_rows: list[BitVec]
+    y_rows: np.ndarray  # row values
     sr_rows: np.ndarray  # row values, x' rows outer, y rows inner
     r: BitVec
     u: BitVec
@@ -101,7 +105,7 @@ class BlockTrace:
 @dataclass
 class TraceRecord:
     sc_rows: list[BitVec]
-    xprime_rows: list[BitVec]
+    xprime_rows: np.ndarray  # row values
     enc_x: BitVec
     blocks: list[BlockTrace]
     z: BitVec
@@ -110,12 +114,12 @@ class TraceRecord:
         assert len(self.sc_rows) == p.ell1p
         assert all(r.n == p.w_snm for r in self.sc_rows)
         assert len(self.xprime_rows) == p.ell3p
-        assert all(r.n == p.w_y for r in self.xprime_rows)
+        assert int(self.xprime_rows.max()) >> p.w_y == 0
         assert self.enc_x.n == p.enc.n_code
         assert len(self.blocks) == p.t
         for b in self.blocks:
             assert len(b.y_rows) == p.ell2
-            assert all(r.n == p.w_y for r in b.y_rows)
+            assert int(b.y_rows.max()) >> p.w_y == 0
             assert len(b.sr_rows) == p.ell3p * p.ell2
             assert int(b.sr_rows.max()) >> p.m_ip == 0
             assert b.r.n == p.m_ip
@@ -458,37 +462,51 @@ def _default_g_code(m1: int) -> LinearCode:
 
 
 def daext_core(x: BitVec, p: PipelineParams) -> tuple[BitVec, TraceRecord]:
-    """Steps 1-11 per block plus the XOR combine; returns z and the trace."""
+    """Steps 1-11 per block plus the XOR combine; returns z and the trace.
+
+    Every stage that does not depend on the block's own seed runs once
+    over arrays for all blocks: the condenser rows, the sr rows and
+    their folds, u, the sn rows, all t * ell1' correlation-breaker
+    calls and w.  Only the advice h and the query matrix are per block.
+    """
     if x.n != p.n:
         raise ValueError(f"input must have {p.n} bits")
     p.validate()
     fam = p.family()
     field = GF2kField(p.w_snm // 2)
     snm_indices = tuple(range(1, p.n1 + 1))
+    xv = x.value
 
-    sc_rows = eval_recursive(fam, x, p.H1, general=False)
-    xprime_rows = eval_recursive(fam, x, p.h2 + p.log_t, general=False)
-    xprime_vals = np.array([r.value for r in xprime_rows], dtype=np.uint64)
+    sc_vals = eval_recursive_array(fam, xv, p.n, p.H1, general=False)
+    xprime_vals = eval_recursive_array(fam, xv, p.n, p.h2 + p.log_t, general=False)
+    x_blocks = [(xv >> (i * p.nb)) & ((1 << p.nb) - 1) for i in range(p.t)]
+    y_vals = eval_recursive_array(fam, x_blocks, p.nb, p.h2, general=False)
+    sr_rows = ip(xprime_vals[:, None], y_vals[:, None, :], p.m_ip, p.w_y)
+    sr_rows = sr_rows.reshape(p.t, -1)  # per block: x' rows outer, y rows inner
+    r_vals = affine_srext(sr_rows, width=p.m_ip)
+    u_vals = toeplitz_array(xv, r_vals, p.n, p.m_prime, p.m_ip)
     enc_x = p.enc.encode(x)
-    blocks = []
-    z = 0
+    split = p.k_adv * ENC_INDEX_BITS
+    per_block, queries = [], []
     for i in range(p.t):
-        xi = x.window(i * p.nb, p.nb)
-        y_rows = eval_recursive(fam, xi, p.h2, general=False)
-        y_vals = np.array([r.value for r in y_rows], dtype=np.uint64)
-        sr_rows = ip(xprime_vals[:, None], y_vals, p.m_ip, p.w_y).ravel()
-        r = BitVec(p.m_ip, affine_srext(sr_rows, width=p.m_ip))
-        u = extract_with_short_seed(ToeplitzExtractor(p.n, p.m_prime), x, r)
-        split = p.k_adv * ENC_INDEX_BITS
+        u = BitVec(p.m_prime, int(u_vals[i]))
         u1, u2 = u.take(split), u.drop(split)
         h = advice_bits(u1, enc_x, p.k_adv)
         u_tilde = u.cat(h)
         q = query_matrix(field, field.nonzero_element(u_tilde.value), snm_indices)
-        sn_rows = [q.apply(sc) for sc in sc_rows]
-        y_tilde = BitVec(p.n2)
-        for j, sn in enumerate(sn_rows):
-            y_tilde ^= ldacb(x, sn, BitVec(p.a_bits, j), p.cb)
-        w = extract_with_short_seed(ToeplitzExtractor(p.n, p.n3), x, y_tilde)
+        per_block.append((u, u1, u2, h, u_tilde))
+        queries.append(q.rows)
+    queries = np.array(queries, dtype=np.uint64)  # (t, n1)
+    sn_bits = np.bitwise_count(sc_vals[:, None] & queries[:, None, :]) & 1
+    sn_vals = (sn_bits.astype(np.uint64)
+               << np.arange(p.n1, dtype=np.uint64)).sum(axis=-1)  # (t, ell1')
+    advice = np.arange(p.ell1p, dtype=np.uint64)  # row j carries advice j
+    y_tilde = np.bitwise_xor.reduce(ldacb_array(xv, sn_vals, advice, p.cb), axis=1)
+    w_vals = toeplitz_array(xv, y_tilde, p.n, p.n3, p.n2)
+    blocks = []
+    z = 0
+    for i, (u, u1, u2, h, u_tilde) in enumerate(per_block):
+        w = BitVec(p.n3, int(w_vals[i]))
         c = p.c_blocks[i]
         s_i = p.n3 // c
         v_bits = 0
@@ -498,11 +516,14 @@ def daext_core(x: BitVec, p: PipelineParams) -> tuple[BitVec, TraceRecord]:
         v_vec = BitVec(s_i, v_bits)
         z ^= v_vec.value & ((1 << p.m1_out) - 1)
         blocks.append(
-            BlockTrace(y_rows, sr_rows, r, u, u1, u2, h, u_tilde,
-                       sn_rows, y_tilde, w, v_vec)
+            BlockTrace(y_vals[i], sr_rows[i], BitVec(p.m_ip, int(r_vals[i])),
+                       u, u1, u2, h, u_tilde,
+                       [BitVec(p.n1, int(v)) for v in sn_vals[i]],
+                       BitVec(p.n2, int(y_tilde[i])), w, v_vec)
         )
     zv = BitVec(p.m1_out, z)
-    trace = TraceRecord(sc_rows, xprime_rows, enc_x, blocks, zv)
+    sc_rows = [BitVec(p.w_snm, int(v)) for v in sc_vals]
+    trace = TraceRecord(sc_rows, xprime_vals, enc_x, blocks, zv)
     trace.assert_widths(p)
     return zv, trace
 

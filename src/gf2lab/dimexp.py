@@ -134,7 +134,9 @@ def certified_alpha(
 def sampled_alpha(
     maps: Sequence[GF2Matrix], n: int, trials: int, rng: random.Random
 ) -> Fraction:
-    """Lower-confidence alpha from uniform random subspaces (not a proof).
+    """An upper estimate of alpha from uniform random subspaces (not a
+    proof): the minimum over sampled subspaces can only overstate the
+    minimum over all of them.
 
     Each trial draws a dimension k and a random full-rank k x n basis;
     the bases are then ranked together, k by k, on the pooled images.

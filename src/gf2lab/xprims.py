@@ -10,6 +10,7 @@ Call sites that only hold a short string extend it cyclically
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,6 +209,51 @@ def extract_with_short_seed(
     return ext.extract(x, expand_seed(short_seed, ext.d))
 
 
+@lru_cache(maxsize=256)  # a few (n, m, w) shapes per pipeline; m*w ints each
+def _window_masks(n: int, m: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """M[i][j]: Toeplitz window i (bits i .. i+n-1) of the seed that
+    `expand_seed` makes of the w-bit unit vector e_j."""
+    d = n + m - 1
+    xm = (1 << n) - 1
+    units = [expand_seed(BitVec(w, 1 << j), d).value for j in range(w)]
+    return tuple(tuple((u >> i) & xm for u in units) for i in range(m))
+
+
+def toeplitz_array(x, seeds, n: int, m: int, w: int) -> np.ndarray:
+    """`extract_with_short_seed(ToeplitzExtractor(n, m), x, s)` over an
+    array of w-bit short seeds s, as an array of m-bit values.
+
+    Seed expansion and Toeplitz hashing are both linear, so output bit
+    i is the XOR over j of s_j * <x, M[i][j]>, M[i][j] being window i of
+    the expanded unit vector e_j.  x is one int of any width, shared by
+    every seed, or an array of n-bit values (n <= 64) that broadcasts
+    against `seeds`; seeds of w >= n + m - 1 bits are truncated, as
+    `expand_seed` does.
+    """
+    if w > 64:
+        raise ValueError("short seeds are limited to 64 bits")
+    masks = _window_masks(n, m, w)
+    s = np.asarray(seeds, dtype=np.uint64)
+    if s.size and int(s.max()) >> w:
+        raise ValueError(f"seeds must be {w}-bit values")
+    if isinstance(x, int):
+        if x < 0 or x >> n:
+            raise ValueError(f"source must be an {n}-bit value")
+        par = np.array([[parity(x & mask) for mask in row] for row in masks],
+                       dtype=np.uint64)
+    else:
+        if n > 64:
+            raise ValueError("array sources are limited to 64 bits")
+        xs = np.asarray(x, dtype=np.uint64)
+        if xs.size and int(xs.max()) >> n:
+            raise ValueError(f"sources must be {n}-bit values")
+        par = np.bitwise_count(xs[..., None, None]
+                               & np.array(masks, dtype=np.uint64)) & 1
+    seed_bits = (s[..., None] >> np.arange(w, dtype=np.uint64)) & 1
+    out_bits = (par & seed_bits[..., None, :]).sum(axis=-1) & 1
+    return (out_bits.astype(np.uint64) << np.arange(m, dtype=np.uint64)).sum(axis=-1)
+
+
 def affine_srext(rows, width: int | None = None):
     """Fold the rows of a somewhere-random source into one string.
 
@@ -217,8 +263,10 @@ def affine_srext(rows, width: int | None = None):
     field element, which is exactly uniform.
 
     rows are an array of `width`-bit row values, folded level by level
-    with array products into an int, or BitVecs, whose fold is the
-    array fold of their values.
+    with array products into an int, or a (..., rows) array, each of
+    whose last-axis rows folds to one entry of a (...) array; or
+    BitVecs, whose fold is the array fold of their values.  Rows are
+    limited to 64 bits.
     """
     if len(rows) == 0:
         raise ValueError("need at least one row")
@@ -226,15 +274,19 @@ def affine_srext(rows, width: int | None = None):
         width = rows[0].n
         if any(r.n != width for r in rows):
             raise ValueError("ragged rows")
+        if width > 64:
+            raise ValueError("affine_srext rows are limited to 64 bits")
         values = np.array([r.value for r in rows], dtype=np.uint64)
         return BitVec(width, affine_srext(values, width=width))
     if width is None:
         raise ValueError("array rows need their width")
+    if width > 64:
+        raise ValueError("affine_srext rows are limited to 64 bits")
     level = np.asarray(rows, dtype=np.uint64)
     if int(level.max()) >> width:
         raise ValueError(f"rows must be {width}-bit values")
-    while len(level) > 1:
-        if len(level) % 2:
-            level = np.append(level, level[-1])
-        level = _field(width).mul_array(level[0::2], level[1::2])
-    return int(level[0])
+    while level.shape[-1] > 1:
+        if level.shape[-1] % 2:
+            level = np.concatenate([level, level[..., -1:]], axis=-1)
+        level = _field(width).mul_array(level[..., 0::2], level[..., 1::2])
+    return int(level[0]) if level.ndim == 1 else level[..., 0]

@@ -39,8 +39,9 @@ def raw_toeplitz(xv: int, n: int, seed: int, seed_w: int, m: int) -> int:
     return out
 
 
-def raw_basic_cond(xv: int, width: int, maps) -> list[int]:
-    """maps: tuple of row-int tuples for the expander at width//2."""
+def raw_basic_cond(xv: int, width: int, maps, general: bool = False) -> list[int]:
+    """maps: tuple of row-int tuples for the expander at width//2; the
+    general-source step appends lo ^ hi."""
     half = width // 2
     lo = xv & ((1 << half) - 1)
     hi = xv >> half
@@ -53,16 +54,19 @@ def raw_basic_cond(xv: int, width: int, maps) -> list[int]:
     for mat in maps:
         rows.append(lo ^ apply(mat, hi))
         rows.append(hi ^ apply(mat, lo))
+    if general:
+        rows.append(lo ^ hi)
     return rows
 
 
-def raw_condense(xv: int, width: int, steps: int, maps_by_dim) -> list[int]:
+def raw_condense(xv: int, width: int, steps: int, maps_by_dim,
+                 general: bool = False) -> list[int]:
     rows = [xv]
     w = width
     for _ in range(steps):
         nxt = []
         for r in rows:
-            nxt.extend(raw_basic_cond(r, w, maps_by_dim[w // 2]))
+            nxt.extend(raw_basic_cond(r, w, maps_by_dim[w // 2], general))
         rows = nxt
         w //= 2
     return rows

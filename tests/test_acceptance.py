@@ -170,10 +170,10 @@ def test_criterion_06_pipeline_conformance():
         z, trace = daext_core(x, p)
         ref = reference_pipeline(x.value, p)
         assert [r.value for r in trace.sc_rows] == ref["sc"]
-        assert [r.value for r in trace.xprime_rows] == ref["xprime"]
+        assert trace.xprime_rows.tolist() == ref["xprime"]
         assert trace.enc_x.value == ref["enc"]
         for got, want in zip(trace.blocks, ref["blocks"]):
-            assert [r.value for r in got.y_rows] == want["y_rows"]
+            assert got.y_rows.tolist() == want["y_rows"]
             assert got.sr_rows.tolist() == want["sr"]
             assert got.r.value == want["r"]
             assert got.u.value == want["u"]

@@ -2,6 +2,7 @@
 from fractions import Fraction
 import random
 
+import numpy as np
 import pytest
 
 from gf2lab.anf import anf_of, truth_table_of
@@ -11,13 +12,19 @@ from gf2lab.cbreak import (
     LaParams,
     NipmParams,
     ff_assign,
+    ff_assign_array,
     la_ext,
+    la_ext_array,
     ldacb,
+    ldacb_array,
     nipm,
+    nipm_array,
     stage_degree,
 )
 from gf2lab.gf2k import MODULUS_TABLE
 from gf2lab.xprims import ToeplitzExtractor, extract_with_short_seed
+
+from reference import raw_ldacb
 
 
 # -- straight-line reference implementations (independent of the module) --
@@ -110,9 +117,9 @@ class TestLaExt:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             LaParams.default(8, 2, 1)  # slice would be zero
-        bad = LaParams(ns=8, nd=6, t=1, s=2, m1=2, m2=2, m=3)  # m > m1
-        with pytest.raises(ValueError):
-            la_ext(BitVec(8), BitVec(6), bad)
+        # a hard width failure refuses the record itself (m > m1)
+        with pytest.raises(ValueError, match="la.r0_slice"):
+            LaParams(ns=8, nd=6, t=1, s=2, m1=2, m2=2, m=3)
 
 
 class TestNipm:
@@ -140,6 +147,12 @@ class TestNipm:
     def test_shrinking_schedule_failure_names_round(self):
         with pytest.raises(ValueError, match="alpha_2"):
             NipmParams.shrinking(ns=8, ell=3, mv=4)
+
+    def test_bad_schedule_refused_when_built(self):
+        with pytest.raises(ValueError, match="nipm.schedule_lengths"):
+            NipmParams(ns=6, ell=2, mv=3, s_widths=(3, 3), r_widths=())
+        with pytest.raises(ValueError, match="nipm.rows_positive"):
+            NipmParams.constant(ns=6, ell=0, mv=3)
 
     def test_shrinking_schedule_valid(self):
         p = NipmParams.shrinking(ns=8, ell=2, mv=8)
@@ -180,51 +193,91 @@ class TestLdacb:
 
     def test_output_anf_degree_within_recorded_bound(self):
         bound = TOY.degree_bounds()["output"]
-        nvars = 6 + 8
+        j = np.arange(1 << (6 + 8))
+        out = ldacb_array(j & 63, j >> 6, 1, TOY)
         for bit in range(TOY.n2):
-            f = lambda j: (
-                ldacb(BitVec(6, j & 63), BitVec(8, j >> 6), BitVec(1, 1), TOY).value
-                >> bit
-            ) & 1
-            assert anf_of(truth_table_of(f, nvars)).degree <= bound
+            table = BitVec.from_bits((out >> bit) & 1)
+            assert anf_of(table).degree <= bound
 
     def test_directional_joint_distances_locked(self):
         # full enumeration over (x, y); measured, never asserted (the
         # asymptotic epsilon is meaningless at these widths)
-        def joint(pair_fn):
-            m = TOY.n2
-            counts, marg = {}, {}
-            for x in range(64):
-                for y in range(256):
-                    out, outp = pair_fn(x, y)
-                    counts[(out, outp)] = counts.get((out, outp), 0) + 1
-                    marg[outp] = marg.get(outp, 0) + 1
-            total = 64 * 256
-            acc = 0
-            seen = set()
-            for (z, rest), c in counts.items():
-                acc += abs((c << m) - marg.get(rest, 0))
-                seen.add((z, rest))
-            for mk, c in marg.items():
-                for z in range(1 << m):
-                    if (z, mk) not in seen:
-                        acc += c
-            return Fraction(acc, (total << m) * 2)
+        x = np.arange(64)[:, None]
+        y = np.arange(256)[None, :]
+        m = TOY.n2
 
-        shifted = joint(
-            lambda x, y: (
-                ldacb(BitVec(6, x), BitVec(8, y), BitVec(1, 0), TOY).value,
-                ldacb(BitVec(6, x ^ 0b000111), BitVec(8, y), BitVec(1, 1), TOY).value,
-            )
-        )
+        def joint(out, outp):
+            # distance of (out, outp) from (U_m, outp), from the count
+            # matrix counts[outp, out]
+            counts = np.bincount((outp << m | out).ravel(), minlength=1 << 2 * m)
+            counts = counts.reshape(1 << m, 1 << m)
+            marg = counts.sum(axis=1, keepdims=True)
+            acc = int(np.abs((counts << m) - marg).sum())
+            return Fraction(acc, (out.size << m) * 2)
+
+        base = ldacb_array(x, y, 0, TOY)
+        shifted = joint(base, ldacb_array(x ^ 0b000111, y, 1, TOY))
         assert shifted == Fraction(1351, 2048)
-        same_input = joint(
-            lambda x, y: (
-                ldacb(BitVec(6, x), BitVec(8, y), BitVec(1, 0), TOY).value,
-                ldacb(BitVec(6, x), BitVec(8, y), BitVec(1, 1), TOY).value,
-            )
-        )
+        same_input = joint(base, ldacb_array(x, y, 1, TOY))
         assert same_input == Fraction(6223, 8192)
+
+
+class TestArrayStages:
+    """The array stages against their per-point routes and against
+    raw_ldacb in tests/reference.py."""
+
+    @pytest.mark.parametrize("p", [TOY, CBParams.toy(n=8, d=12, t=1, a=2),
+                                   CBParams.toy(n=64, d=12, t=1, a=3)],
+                             ids=["toy", "a2", "n64"])
+    def test_ldacb_array_matches_ldacb_and_reference(self, p):
+        rng = random.Random(95 + p.n)
+        xs = [rng.getrandbits(p.n) for _ in range(40)]
+        xs[0] = (1 << p.n) - 1  # bit n-1 set (bit 63 at n = 64)
+        ys = [rng.getrandbits(p.d) for _ in range(40)]
+        advice = [rng.getrandbits(p.a) for _ in range(40)]
+        got = ldacb_array(np.array(xs, dtype=np.uint64), ys, advice, p)
+        for i, (xv, yv, av) in enumerate(zip(xs, ys, advice)):
+            want = ldacb(BitVec(p.n, xv), BitVec(p.d, yv), BitVec(p.a, av), p)
+            assert int(got[i]) == want.value == raw_ldacb(xv, yv, av, p)
+        # one int x shared by every (y, advice) pair
+        shared = ldacb_array(xs[1], np.array(ys)[:, None],
+                             np.arange(1 << p.a), p)
+        for i, yv in enumerate(ys):
+            for av in range(1 << p.a):
+                assert int(shared[i, av]) == raw_ldacb(xs[1], yv, av, p)
+
+    def test_sampled_grid_points_match_per_point_ldacb(self):
+        # the locked distances above run on the array route; a sample of
+        # their grid is recomputed one point at a time
+        rng = random.Random(96)
+        for _ in range(200):
+            xv, yv, av = rng.getrandbits(6), rng.getrandbits(8), rng.getrandbits(1)
+            got = ldacb_array(xv, yv, av, TOY)
+            want = ldacb(BitVec(6, xv), BitVec(8, yv), BitVec(1, av), TOY)
+            assert int(got) == want.value
+
+    def test_la_ext_and_nipm_arrays(self):
+        rng = random.Random(97)
+        xs = np.array([rng.getrandbits(8) for _ in range(50)], dtype=np.uint64)
+        ys = np.array([rng.getrandbits(6) for _ in range(50)], dtype=np.uint64)
+        r0, r1 = la_ext_array(xs, ys, LA)
+        p = NipmParams.constant(ns=8, ell=3, mv=3)
+        merged = nipm_array(xs, [r0, r1, r0 ^ r1], p)
+        for i in range(50):
+            x, y = BitVec(8, int(xs[i])), BitVec(6, int(ys[i]))
+            a, b = la_ext(x, y, LA)
+            assert (int(r0[i]), int(r1[i])) == (a.value, b.value)
+            assert int(merged[i]) == nipm(x, [a, b, a ^ b], p).value
+
+    def test_ff_assign_array(self):
+        rows = ff_assign_array(np.uint64(1), np.uint64(6), np.arange(4), 2)
+        for av in range(4):
+            want = ff_assign(BitVec(3, 1), BitVec(3, 6), BitVec(2, av))
+            assert [int(r[av]) for r in rows] == [w.value for w in want]
+
+    def test_advice_width_enforced(self):
+        with pytest.raises(ValueError):
+            ldacb_array(0, 0, 2, TOY)
 
 
 class TestCBParams:

@@ -1,4 +1,5 @@
 """CLI verbs and campaign determinism."""
+import hashlib
 import json
 import random
 import re
@@ -53,6 +54,23 @@ class TestDaextCli:
         rep = json.loads(out.read_text())
         assert rep["input"] == "24:654321"
         assert len(json.loads(trace.read_text())["blocks"]) == 4
+
+    @pytest.mark.parametrize("x,digest", [
+        ("64:0123456789abcdef",
+         "281bb96ba797f596a44251c359d5e04c1287e3f1e641b514af50f27cc152ff21"),
+        ("64:8000000000000001",
+         "d3c8a6c3ec4261f90f512f5a1d4c4080ab7b23d11814ee04e9aa6face9f38894"),
+        ("64:fedcba9876543210",
+         "a85c510009a4e8c5c3cc50656dc7f5f1ae83c74e9740c5ac18896115888d6113"),
+    ])
+    def test_run_trace_bytes_locked(self, tmp_path, x, digest):
+        # the trace file of a toy-width run, byte for byte
+        params = tmp_path / "p.json"
+        trace = tmp_path / "t.json"
+        assert run(["daext", "params", "--n", 64, "--seed", 7, "--out", params]) == 0
+        assert run(["daext", "run", "--params", params, "--input", x,
+                    "--trace", trace, "--out", tmp_path / "r.json"]) == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
     def test_run_output_is_daext(self, tmp_path):
         # `run` derives the output from the z of its one pipeline pass

@@ -3,6 +3,7 @@ from fractions import Fraction
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gf2lab.affine import AffineSource
@@ -11,6 +12,7 @@ from gf2lab.condense import (
     basic_cond,
     basic_gcond,
     eval_recursive,
+    eval_recursive_array,
     expander_family,
     scond,
     scond_steps,
@@ -21,6 +23,8 @@ from gf2lab.condense import (
 )
 from gf2lab.dimexp import DimExpander, Certificate, search_dimension_expander
 from gf2lab.subspaces import enumerate_subspaces
+
+from reference import raw_condense
 
 
 def identity_expander(n: int, d: int = 3) -> DimExpander:
@@ -90,6 +94,47 @@ class TestIterated:
             x = BitVec.random(8, rng)
             assert c.apply(x) == eval_recursive(FAMILY, x, 2, False)
             assert g.apply(x) == eval_recursive(FAMILY, x, 2, True)
+
+    @pytest.mark.parametrize("general", [False, True])
+    @pytest.mark.parametrize("h", [0, 1, 2])
+    def test_array_evaluation_matches_recursive_and_reference(self, h, general):
+        rng = random.Random(43 + h)
+        xs = [rng.getrandbits(8) for _ in range(20)] + [0, 255]
+        got = eval_recursive_array(FAMILY, np.array(xs, dtype=np.uint64), 8, h,
+                                   general)
+        maps = {e.n: tuple(m.rows for m in e.maps) for e in (EXP4, EXP2)}
+        for xv, rows in zip(xs, got.tolist()):
+            assert rows == [r.value for r in
+                            eval_recursive(FAMILY, BitVec(8, xv), h, general)]
+            assert rows == raw_condense(xv, 8, h, maps, general)
+        one = eval_recursive_array(FAMILY, xs[0], 8, h, general)
+        assert one.tolist() == got[0].tolist()
+
+    def test_array_evaluation_of_wide_points(self):
+        # an int point wider than 64 bits condenses once its halves fit
+        rng = random.Random(44)
+        e40 = DimExpander(40, tuple(GF2Matrix.random(40, 40, rng) for _ in range(3)),
+                          Fraction(0), Certificate("none", 0))
+        fam = expander_family([e40])
+        xv = rng.getrandbits(80) | 1 << 79
+        got = eval_recursive_array(fam, xv, 80, 1, False)
+        assert got.tolist() == [r.value for r in
+                                eval_recursive(fam, BitVec(80, xv), 1, False)]
+
+    def test_array_tables_follow_map_content(self):
+        # two families of one width, built, dropped and rebuilt in turn:
+        # each call must use the maps it is given
+        rng = random.Random(45)
+        xs = np.array([rng.getrandbits(8) for _ in range(16)], dtype=np.uint64)
+        for seed in (11, 12, 11, 12):
+            e4 = search_dimension_expander(n=4, d=3, target_alpha=Fraction(0),
+                                           seed=seed)
+            fam = expander_family([e4, EXP2])
+            got = eval_recursive_array(fam, xs, 8, 2, False)
+            for xv, rows in zip(xs.tolist(), got.tolist()):
+                assert rows == [r.value for r in
+                                eval_recursive(fam, BitVec(8, xv), 2, False)]
+            del e4, fam
 
     def test_matches_stepwise_composition(self):
         rng = random.Random(42)

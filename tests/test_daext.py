@@ -26,11 +26,11 @@ def assert_matches_reference(x: BitVec, p: PipelineParams) -> None:
     z, trace = daext_core(x, p)
     ref = reference_pipeline(x.value, p)
     assert [r.value for r in trace.sc_rows] == ref["sc"]
-    assert [r.value for r in trace.xprime_rows] == ref["xprime"]
+    assert trace.xprime_rows.tolist() == ref["xprime"]
     assert trace.enc_x.value == ref["enc"]
     assert len(trace.blocks) == len(ref["blocks"])
     for got, want in zip(trace.blocks, ref["blocks"]):
-        assert [r.value for r in got.y_rows] == want["y_rows"]
+        assert got.y_rows.tolist() == want["y_rows"]
         assert got.sr_rows.tolist() == want["sr"]
         assert got.r.value == want["r"]
         assert got.u.value == want["u"]
@@ -210,16 +210,38 @@ class TestStatisticalMode:
         assert rep.witness["direction"] == "24:0822e9"
 
 
+def inputs(n: int, seed: int, count: int) -> list[BitVec]:
+    """Random inputs plus the all-ones input and one with only the top
+    and bottom bits set (bit 63 at n = 64)."""
+    rng = random.Random(seed)
+    return ([BitVec(n, (1 << n) - 1), BitVec(n, 1 << (n - 1) | 1)]
+            + [BitVec.random(n, rng) for _ in range(count)])
+
+
 class TestToyConformance:
-    def test_toy_matches_reference_once(self):
+    def test_toy_matches_reference_stage_by_stage(self):
         p = PipelineParams.toy()
-        rng = random.Random(208)
-        x = BitVec.random(64, rng)
-        z, trace = daext_core(x, p)
-        ref = reference_pipeline(x.value, p)
-        assert z.value == ref["z"]
-        assert [r.value for r in trace.sc_rows] == ref["sc"]
-        for got, want in zip(trace.blocks, ref["blocks"]):
-            assert got.u.value == want["u"]
-            assert got.y_tilde.value == want["y_tilde"]
-            assert got.v_bits.value == want["v"]
+        for x in inputs(64, 208, 3):
+            assert_matches_reference(x, p)
+
+    @pytest.mark.parametrize("n,kwargs", [(24, {"t_override": 4}),
+                                          (32, {"t_override": 4, "h2": 1}),
+                                          (80, {})],
+                             ids=["mini", "halved_blocks", "n80"])
+    def test_other_shapes_with_top_bits(self, n, kwargs):
+        # n = 80: inputs wider than one 64-bit word, whose condenser
+        # halves and block rows fit in one
+        p = PipelineParams.build(n, **kwargs)
+        for x in inputs(n, 209, 0):
+            assert_matches_reference(x, p)
+
+    def test_rebuilt_params_of_two_expander_seeds_alternate(self):
+        # pipeline records of two expander families, built, dropped and
+        # rebuilt in turn (a rebuilt object may reuse a freed one's
+        # id()); every call must run on its own record's maps
+        x = inputs(64, 210, 1)[-1]
+        for _ in range(2):
+            for seed in (7, 8):
+                p = PipelineParams.toy(expander_seed=seed)
+                assert_matches_reference(x, p)
+                del p

@@ -18,9 +18,10 @@ from gf2lab.xprims import (
     extract_with_short_seed,
     ip,
     lsext,
+    toeplitz_array,
 )
 from gf2lab.gf2k import GF2kField
-from reference import raw_fold, raw_ip
+from reference import raw_fold, raw_ip, raw_toeplitz
 
 # GF(4) with modulus x^2+x+1; element bits (lsb = constant term)
 GF4_MUL = {
@@ -116,6 +117,63 @@ class TestArrayForms:
         with pytest.raises(ValueError):
             affine_srext(np.array([3, 16], dtype=np.uint64), width=4)
 
+    @pytest.mark.parametrize("rows", [[BitVec(72, 1 << 70)],
+                                      [BitVec(72, 1), BitVec(72, 2)]])
+    def test_affine_srext_refuses_rows_beyond_64_bits(self, rows):
+        with pytest.raises(ValueError, match="64 bits"):
+            affine_srext(rows)
+
+    @pytest.mark.parametrize("count", (1, 5, 8))
+    def test_affine_srext_batched_rows(self, count):
+        # a (blocks, rows) array folds each block's rows on their own
+        rng = random.Random(66 + count)
+        rows = np.array([[rng.getrandbits(6) for _ in range(count)]
+                         for _ in range(7)], dtype=np.uint64)
+        got = affine_srext(rows, width=6)
+        assert got.shape == (7,)
+        for block, want in zip(rows, got):
+            assert affine_srext(block, width=6) == int(want)
+            assert int(want) == raw_fold(block.tolist(), 6, GF2kField(6))
+
+    # (n, m, w): short seeds below, at and above d = n + m - 1, and n = 64
+    # sources, whose full seeds are wider than 64 bits
+    @pytest.mark.parametrize("n,m,w", [(4, 2, 1), (4, 2, 3), (5, 1, 5), (6, 3, 8),
+                                       (8, 3, 12), (64, 2, 2), (64, 12, 4),
+                                       (64, 3, 20), (64, 1, 64)])
+    def test_toeplitz_rows(self, n, m, w):
+        rng = random.Random(67 + n + 8 * m + 64 * w)
+        xs = [rng.getrandbits(n) for _ in range(12)]
+        xs[0] = (1 << n) - 1  # bit n-1 set (bit 63 at n = 64)
+        seeds = [rng.getrandbits(w) for _ in range(12)]
+        seeds[1] = (1 << w) - 1
+        ext = ToeplitzExtractor(n, m)
+        got = toeplitz_array(np.array(xs, dtype=np.uint64), seeds, n, m, w)
+        shared = toeplitz_array(xs[2], np.array(seeds, dtype=np.uint64), n, m, w)
+        for i, (xv, sv) in enumerate(zip(xs, seeds)):
+            want = extract_with_short_seed(ext, BitVec(n, xv), BitVec(w, sv))
+            assert int(got[i]) == want.value == raw_toeplitz(xv, n, sv, w, m)
+            assert int(shared[i]) == raw_toeplitz(xs[2], n, sv, w, m)
+
+    def test_toeplitz_rows_wide_shared_source(self):
+        # one int source wider than 64 bits, shared by an array of seeds
+        rng = random.Random(68)
+        xv = rng.getrandbits(96) | 1 << 95
+        seeds = np.arange(16, dtype=np.uint64)
+        got = toeplitz_array(xv, seeds, 96, 5, 4)
+        assert got.tolist() == [raw_toeplitz(xv, 96, sv, 4, 5) for sv in range(16)]
+
+    def test_toeplitz_rows_refused(self):
+        with pytest.raises(ValueError):
+            toeplitz_array(0, np.array([8], dtype=np.uint64), 8, 2, 3)  # 4-bit seed
+        with pytest.raises(ValueError):
+            toeplitz_array(np.array([256], dtype=np.uint64), 1, 8, 2, 3)  # 9-bit source
+        with pytest.raises(ValueError):
+            toeplitz_array(1 << 8, 1, 8, 2, 3)
+        with pytest.raises(ValueError):
+            toeplitz_array(np.zeros(2, dtype=np.uint64), 1, 72, 2, 3)
+        with pytest.raises(ValueError):
+            toeplitz_array(0, 1, 8, 2, 65)
+
 
 def ip_two_source_distance(V: GF2Matrix, W: GF2Matrix, t: int, n: int) -> Fraction:
     """Exact distance of (IP(X,Y), Y) from (U_1, Y) for X uniform on V,
@@ -157,17 +215,31 @@ class TestIPTwoSource:
             assert d <= cap
 
 
-def strong_distance(ext, X: AffineSource) -> Fraction:
-    """Delta((Ext(X,S), S), (U_m, S)) for S uniform: seed-average of the
-    per-seed distance, each computed from an exact distribution."""
+def strong_distance(ext: ToeplitzExtractor, X: AffineSource,
+                    n_seeds: int | None = None) -> Fraction:
+    """Delta((Ext(X,S), S), (U_m, S)) for S uniform over the first
+    n_seeds seeds (default: all 2^d): integer counts of every (seed,
+    output) pair through the array Toeplitz, one Fraction at the end."""
+    n_seeds = 1 << ext.d if n_seeds is None else n_seeds
+    pts = np.array(list(X.support()), dtype=np.uint64)
+    seeds = np.arange(n_seeds, dtype=np.uint64)
+    out = toeplitz_array(pts, seeds[:, None], ext.n, ext.m, ext.d)  # full seeds
+    counts = np.zeros((n_seeds, 1 << ext.m), dtype=np.int64)
+    np.add.at(counts, (seeds.astype(np.intp)[:, None], out.astype(np.intp)), 1)
+    acc = int(np.abs((counts << ext.m) - len(pts)).sum())
+    return Fraction(acc, 2 * len(pts) << ext.m) / n_seeds
+
+
+def per_point_strong_distance(ext, X: AffineSource, n_seeds: int) -> Fraction:
+    """The same distance from one exact distribution per seed."""
     total = Fraction(0)
-    for sv in range(1 << ext.d):
+    for sv in range(n_seeds):
         seed = BitVec(ext.d, sv)
         d = exact_distribution(
             lambda x: ext.extract(BitVec(X.n, x), seed).value, X, ext.m
         )
         total += distance_from_uniform(d)
-    return total / (1 << ext.d)
+    return total / n_seeds
 
 
 class TestToeplitz:
@@ -230,16 +302,18 @@ class TestToeplitz:
         X = AffineSource.random(6, 3, rng)
         full = strong_distance(ext, X)
         for lam in (1, 2):
-            restricted = Fraction(0)
-            count = 1 << (ext.d - lam)
-            for sv in range(count):  # fix the top lambda seed bits to 0
-                seed = BitVec(ext.d, sv)
-                d = exact_distribution(
-                    lambda x: ext.extract(BitVec(6, x), seed).value, X, 1
-                )
-                restricted += distance_from_uniform(d)
-            restricted /= count
+            # fix the top lambda seed bits to 0
+            restricted = strong_distance(ext, X, 1 << (ext.d - lam))
             assert restricted <= (1 << lam) * full
+
+    def test_counted_distance_matches_per_point_distributions(self):
+        rng = random.Random(69)
+        for ext, k in ((ToeplitzExtractor(6, 1), 3), (ToeplitzExtractor(5, 2), 2)):
+            for _ in range(3):
+                X = AffineSource.random(ext.n, k, rng)
+                for n_seeds in (1 << ext.d, 1 << (ext.d - 2)):
+                    assert strong_distance(ext, X, n_seeds) == (
+                        per_point_strong_distance(ext, X, n_seeds))
 
     def test_short_seed_extension(self):
         from gf2lab.xprims import expand_seed
