@@ -16,8 +16,8 @@ their linear maps with it too.
 `condenser_sweep` keeps a running max over the maps of each basis's
 image rank, then takes the first minimum over bases; `pooled_ranks`
 ranks the images under all maps together, for the expander checks.
-`rank_words` is the scalar elimination, by highest set bit, for the
-callers that rank one list of rows.
+`rank_words` is the scalar elimination, by highest set bit, behind
+`GF2Matrix.rank` and the expander checks on rows wider than 64 bits.
 
 The m=1 sweeps take a whole chunk of bases at once and work through
 its cosets in sub-batches.  The xor and joint sweeps AND packed uint64
@@ -93,6 +93,8 @@ def byte_tables(map_cols, width: int) -> np.ndarray:
     `width`-bit int.  Entry [m, b, v] is map m applied to the byte v
     at bits 8b .. 8b+7, in the narrowest dtype that holds `width` bits.
     """
+    if np.ndim(map_cols) != 2:
+        raise ValueError(f"map_cols must have shape (maps, n), got {np.shape(map_cols)}")
     n_maps, n = np.shape(map_cols)
     n_bytes = max(1, -(-n // 8))
     cols = np.zeros((n_maps, 8 * n_bytes), dtype=_uint(width))

@@ -10,6 +10,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._kernels import rank_words
+
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
@@ -238,21 +240,7 @@ class GF2Matrix:
         return GF2Matrix(tuple(work), self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        work = list(self.rows)
-        rank = 0
-        for c in range(self.cols):
-            sel = next((i for i in range(rank, len(work)) if (work[i] >> c) & 1), None)
-            if sel is None:
-                continue
-            work[rank], work[sel] = work[sel], work[rank]
-            piv = work[rank]
-            for i in range(rank + 1, len(work)):
-                if (work[i] >> c) & 1:
-                    work[i] ^= piv
-            rank += 1
-            if rank == len(work):
-                break
-        return rank
+        return rank_words(self.rows, self.cols)
 
     def row_basis(self) -> "GF2Matrix":
         """Independent rows spanning the row space, in RREF."""

@@ -9,6 +9,7 @@ instead).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -382,6 +383,7 @@ def cmd_campaign(args) -> int:
 # -- argument wiring ------------------------------------------------------
 
 
+@functools.cache  # parse_args keeps no state, so every main() call shares one
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)

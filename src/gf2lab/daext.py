@@ -30,7 +30,7 @@ from .codes import LinearCode, extended_hamming_8_4, tiled_code
 from .condense import eval_recursive_array, expander_family
 from .dimexp import DimExpander, standard_family
 from .gf2k import GF2kField
-from .snmext import query_matrix
+from .snmext import query_masks
 from .xprims import affine_srext, ip, toeplitz_array
 # Unused here; perfbench's layer tracer still binds these per-point names.
 from .cbreak import ldacb  # noqa: F401
@@ -467,14 +467,13 @@ def daext_core(x: BitVec, p: PipelineParams) -> tuple[BitVec, TraceRecord]:
     Every stage that does not depend on the block's own seed runs once
     over arrays for all blocks: the condenser rows, the sr rows and
     their folds, u, the sn rows, all t * ell1' correlation-breaker
-    calls and w.  Only the advice h and the query matrix are per block.
+    calls, the query masks and w.  Only the advice h is per block.
     """
     if x.n != p.n:
         raise ValueError(f"input must have {p.n} bits")
     p.validate()
     fam = p.family()
     field = GF2kField(p.w_snm // 2)
-    snm_indices = tuple(range(1, p.n1 + 1))
     xv = x.value
 
     sc_vals = eval_recursive_array(fam, xv, p.n, p.H1, general=False)
@@ -487,16 +486,15 @@ def daext_core(x: BitVec, p: PipelineParams) -> tuple[BitVec, TraceRecord]:
     u_vals = toeplitz_array(xv, r_vals, p.n, p.m_prime, p.m_ip)
     enc_x = p.enc.encode(x)
     split = p.k_adv * ENC_INDEX_BITS
-    per_block, queries = [], []
+    per_block, y_elts = [], []
     for i in range(p.t):
         u = BitVec(p.m_prime, int(u_vals[i]))
         u1, u2 = u.take(split), u.drop(split)
         h = advice_bits(u1, enc_x, p.k_adv)
         u_tilde = u.cat(h)
-        q = query_matrix(field, field.nonzero_element(u_tilde.value), snm_indices)
         per_block.append((u, u1, u2, h, u_tilde))
-        queries.append(q.rows)
-    queries = np.array(queries, dtype=np.uint64)  # (t, n1)
+        y_elts.append(field.nonzero_element(u_tilde.value))
+    queries = query_masks(field, y_elts, range(1, p.n1 + 1))  # (t, n1)
     sn_bits = np.bitwise_count(sc_vals[:, None] & queries[:, None, :]) & 1
     sn_vals = (sn_bits.astype(np.uint64)
                << np.arange(p.n1, dtype=np.uint64)).sum(axis=-1)  # (t, ell1')

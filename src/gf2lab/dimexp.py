@@ -139,27 +139,27 @@ def sampled_alpha(
     minimum over all of them.
 
     Each trial draws a dimension k and a random full-rank k x n basis;
-    the bases are then ranked together, k by k, on the pooled images.
+    the bases, zero-padded to n/2 rows (a zero row adds nothing to a
+    span), are then ranked in one pooled call on their images.
     """
     _check_degree(len(maps))
-    bases: dict[int, list[tuple[int, ...]]] = {}
+    bases: list[tuple[int, ...]] = []
     for _ in range(trials):
         k = rng.randrange(1, n // 2 + 1)
         while True:
             cand = GF2Matrix.random(k, n, rng)
             if cand.rank() == k:
                 break
-        bases.setdefault(k, []).append(cand.rows)
+        bases.append(cand.rows)
     if not bases:
         raise ValueError("need at least one trial")
     if n > 64:  # wider than the kernels' words: one basis at a time
-        low = {k: min(_image_rank(maps, rows, n) for rows in group)
-               for k, group in bases.items()}
+        ranks = [_image_rank(maps, rows, n) for rows in bases]
     else:
         tabs = byte_tables([m.transpose().rows for m in maps], n)
-        low = {k: int(pooled_ranks(np.array(group, dtype=np.uint64), tabs).min())
-               for k, group in bases.items()}
-    return min(Fraction(rank, k) for k, rank in low.items()) - 1
+        padded = [rows + (0,) * (n // 2 - len(rows)) for rows in bases]
+        ranks = pooled_ranks(np.array(padded, dtype=np.uint64), tabs).tolist()
+    return min(Fraction(r, k) for r, k in {(r, len(b)) for r, b in zip(ranks, bases)}) - 1
 
 
 def search_dimension_expander(

@@ -4,7 +4,8 @@ The seed y has n/2 - 1 bits and names a nonzero field element through
 the fixed enumeration Y = y + 1 (no rejection, the image is exactly a
 subset of F*).  Each output bit is linear in x for every fixed seed, so
 a seed's queries form one matrix, `query_matrix`: `snm_ext` applies it
-to one point, and the pipeline to each global condenser row.
+to one point.  `query_masks` gives many seeds' query rows as one array
+product, for the pipeline's condenser rows and the testers' maps.
 
 The exact testers push the whole source support through every seed's
 matrix at once with the byte-table kernel, count the outcomes one seed
@@ -43,6 +44,15 @@ def query_vector(field: GF2kField, y_elt: int, index: int) -> int:
     low = field.mul(b, y_elt)
     high = field.mul(b, field.pow3(y_elt))
     return low | (high << field.k)
+
+
+def query_masks(field: GF2kField, y_elts, indices: Sequence[int]) -> np.ndarray:
+    """query_vector(field, y, i) as a (len(y_elts), len(indices)) uint64 array."""
+    y = np.asarray(y_elts, dtype=np.uint64)[:, None]
+    b = np.array([field.basis_element(i) for i in indices], dtype=np.uint64)
+    low = field.mul_array(b, y).astype(np.uint64)
+    high = field.mul_array(b, field.mul_array(field.mul_array(y, y), y))
+    return low | high.astype(np.uint64) << np.uint64(field.k)
 
 
 def query_matrix(field: GF2kField, y_elt: int, indices: Sequence[int]) -> GF2Matrix:
@@ -118,12 +128,12 @@ def _check_work(n: int, source: AffineSource, m: int, budget: int) -> int:
 def _seed_images(n: int, source: AffineSource, m: int) -> list[np.ndarray]:
     """Z_y on every point of the source's support, for every seed y."""
     field = GF2kField(n // 2)
-    indices = range(1, m + 1)
-    tabs = byte_tables(
-        [query_matrix(field, field.nonzero_element(y), indices).transpose().rows
-         for y in range(1 << seed_bits(n))],
-        m,
-    )
+    elts = [field.nonzero_element(y) for y in range(1 << seed_bits(n))]
+    masks = query_masks(field, elts, range(1, m + 1))
+    # column j of each seed's query matrix: bit i is bit j of mask i
+    bits = masks[:, None, :] >> np.arange(n, dtype=np.uint64)[:, None] & np.uint64(1)
+    cols = np.bitwise_or.reduce(bits << np.arange(m, dtype=np.uint64), axis=-1)
+    tabs = byte_tables(cols, m)
     points = np.fromiter(source.support(), dtype=np.uint64, count=source.support_size())
     return map_images(points, tabs)
 

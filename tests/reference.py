@@ -336,6 +336,23 @@ def raw_sampled_alpha(maps, n: int, trials: int, rng) -> Fraction:
     return best - 1
 
 
+def raw_sampled_alpha_by_dim(maps, n: int, trials: int, rng) -> Fraction:
+    """The sampled alpha grouped by dimension: the same draws as
+    `raw_sampled_alpha`, then the lowest pooled-image rank of each k,
+    and the smallest of those ratios.  maps: per map, its int rows."""
+    lowest: dict[int, int] = {}
+    for _ in range(trials):
+        k = rng.randrange(1, n // 2 + 1)
+        while True:
+            rows = tuple(rng.getrandbits(n) for _ in range(k))
+            if raw_rank(rows) == k:
+                break
+        images = [sum(raw_parity(m_row & r) << i for i, m_row in enumerate(mat))
+                  for mat in maps for r in rows]
+        lowest[k] = min(lowest.get(k, n), raw_rank(images))
+    return min(Fraction(rank, k) for k, rank in lowest.items()) - 1
+
+
 def raw_first_violation(maps, alpha: Fraction, n: int):
     """Basis rows of the first V whose ratio is below 1 + alpha, or None."""
     for ratio, rows in _raw_pooled_ratios(maps, n):

@@ -72,6 +72,22 @@ class TestDaextCli:
                     "--trace", trace, "--out", tmp_path / "r.json"]) == 0
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
+    def test_parser_reuse_does_not_leak_options(self, tmp_path):
+        # every main() call parses with the same parser; an option given
+        # to one call is not a default of the next
+        assert build_parser() is build_parser()
+        params = tmp_path / "p.json"
+        trace = tmp_path / "t.json"
+        assert run(["daext", "params", "--n", 24, "--t-override", 4,
+                    "--seed", 7, "--out", params]) == 0
+        argv = ["daext", "run", "--params", params, "--input", "24:654321"]
+        assert run(argv + ["--trace", trace, "--out", tmp_path / "a.json"]) == 0
+        assert trace.exists()
+        trace.unlink()
+        assert run(argv + ["--out", tmp_path / "b.json"]) == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.json", "b.json", "p.json"]
+        assert build_parser().parse_args([str(a) for a in argv]).trace is None
+
     def test_run_output_is_daext(self, tmp_path):
         # `run` derives the output from the z of its one pipeline pass
         params = tmp_path / "p.json"
@@ -242,6 +258,24 @@ class TestCampaign:
         assert [f["step"] for f in summary["failures"]] == [0, 1]
         assert summary["failures"][1]["error"] == "exit 2"
         assert (tmp_path / "o" / "step_002_verify.json").exists()
+
+    def test_refused_step_then_good_step(self, tmp_path):
+        # argparse exits on the first step; the shared parser still
+        # parses the second, and only the first is a failure
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({
+            "steps": [{"verb": "verify", "positional": ["directional"],
+                       "args": {"f": "builtin:ip", "n": 4, "no-such-flag": 1}},
+                      {"verb": "verify", "positional": ["directional"],
+                       "args": {"f": "builtin:ip", "n": 4}}]
+        }))
+        assert run(["campaign", "run", "--file", cfile,
+                    "--out", tmp_path / "o"]) == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["failures"] == [
+            {"step": 0, "verb": "verify", "error": "exit 2"}]
+        assert not (tmp_path / "o" / "step_000_verify.json").exists()
+        assert (tmp_path / "o" / "step_001_verify.json").exists()
 
     def test_reruns_byte_identical_and_match_direct(self, tmp_path):
         cfile = tmp_path / "c.json"

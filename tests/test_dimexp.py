@@ -14,7 +14,12 @@ from gf2lab.dimexp import (
     verify_dimension_expander,
 )
 from gf2lab.subspaces import enumerate_subspaces
-from reference import raw_certified_alpha, raw_first_violation, raw_sampled_alpha
+from reference import (
+    raw_certified_alpha,
+    raw_first_violation,
+    raw_sampled_alpha,
+    raw_sampled_alpha_by_dim,
+)
 
 
 def exhaustive_alpha_oracle(maps, n):
@@ -113,19 +118,26 @@ def test_sampled_alpha_not_below_exhaustive():
     assert sampled_alpha(e.maps, 6, 50, rng) >= e.alpha
 
 
-@pytest.mark.parametrize("n,trials", [(8, 60), (16, 60), (32, 40), (66, 12)])
+@pytest.mark.parametrize("n,trials", [(8, 60), (16, 60), (32, 40), (66, 12), (72, 10)])
 def test_sampled_alpha_matches_per_trial_oracle(n, trials):
-    # the same candidates from rng, ranked in batches per dimension; the
-    # rng is left where the per-trial loop leaves it.  n = 66 is wider
-    # than the kernels' 64-bit words.
+    # the same candidates from rng, zero-padded to n/2 rows and ranked in
+    # one pooled call, against each trial ranked alone and against the
+    # lowest rank of each dimension; the rng is left where the oracles'
+    # loops leave it.  n = 66 and 72 are wider than the kernels' words.
+    # The identity and a shear (x -> x + x_{n-1} e_0) fix every subspace
+    # with x_{n-1} = 0, so their lowest ratio, 1, is mostly reached below
+    # n/2, where the padding rows sit.
+    shear = GF2Matrix((1 | 1 << (n - 1),) + GF2Matrix.identity(n).rows[1:], n)
     for seed in (1, 2, 3):
         rng = random.Random(seed)
-        maps = tuple(GF2Matrix.random_invertible(n, rng) for _ in range(3))
-        got_rng, want_rng = random.Random(seed + 50), random.Random(seed + 50)
-        got = sampled_alpha(maps, n, trials, got_rng)
-        want = raw_sampled_alpha([m.rows for m in maps], n, trials, want_rng)
-        assert got == want
-        assert got_rng.getstate() == want_rng.getstate()
+        for maps in (tuple(GF2Matrix.random_invertible(n, rng) for _ in range(3)),
+                     (GF2Matrix.identity(n), shear)):
+            got_rng = random.Random(seed + 50)
+            got = sampled_alpha(maps, n, trials, got_rng)
+            for oracle in (raw_sampled_alpha, raw_sampled_alpha_by_dim):
+                want_rng = random.Random(seed + 50)
+                assert got == oracle([m.rows for m in maps], n, trials, want_rng)
+                assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_sampled_alpha_needs_a_trial():

@@ -1,5 +1,7 @@
 """Core GF(2) linear algebra, affine sources, exact distributions, ANF."""
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from gf2lab.subspaces import (
     iter_rref_bases,
     span_points,
 )
+from reference import raw_rank
 
 
 def span_enumeration_rank_oracle(m: GF2Matrix) -> int:
@@ -69,6 +72,23 @@ class TestRank:
                 lst[i] ^= lst[j]
             assert GF2Matrix(tuple(lst), cols).rank() == r
             assert m.transpose().rank() == r
+
+    @pytest.mark.parametrize("cols", [0, 1, 5, 32, 64, 80, 130])
+    def test_random_against_reference_rank(self, cols):
+        # more rows than columns, as many, fewer, and dependent rows
+        rng = random.Random(f"rank-{cols}")
+        for nrows in sorted({0, 1, cols // 2, cols, cols + 3, 2 * cols + 1}):
+            m = GF2Matrix.random(nrows, cols, rng)
+            assert m.rank() == raw_rank(m.rows), (nrows, cols)
+            gens = [rng.getrandbits(cols) for _ in range(cols // 3)]
+            dep = tuple(reduce(xor, (g for g in gens if rng.getrandbits(1)), 0)
+                        for _ in range(nrows))
+            assert GF2Matrix(dep, cols).rank() == raw_rank(dep), (nrows, cols)
+
+    def test_rank_limits(self):
+        assert GF2Matrix((0, 0, 0), 0).rank() == 0
+        assert GF2Matrix(((1 << 130) - 1,) * 4, 130).rank() == 1
+        assert GF2Matrix.identity(130).rank() == 130
 
 
 class TestKernelBasis:

@@ -189,6 +189,16 @@ def test_batched_rank_matches_oracle(width):
         assert _kernels.batched_rank(grid).tolist() == [want[:40], want[40:]]
 
 
+def test_byte_tables_shape():
+    # no maps is a (0, n) array, and tables for no maps come back empty
+    tabs = _kernels.byte_tables(np.zeros((0, 12), dtype=np.uint64), 5)
+    assert tabs.shape == (0, 2, 256)
+    assert [img.tolist() for img in _kernels.map_images(_u64([3, 7]), tabs)] == []
+    for bad in ([], [1, 2, 3], np.zeros((2, 3, 4), dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"shape \(maps, n\)"):
+            _kernels.byte_tables(bad, 8)
+
+
 def _xor_of(values) -> int:
     out = 0
     for v in values:

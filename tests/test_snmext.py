@@ -2,6 +2,7 @@
 from fractions import Fraction
 import random
 
+import numpy as np
 import pytest
 
 from gf2lab.affine import AffineSource
@@ -11,6 +12,7 @@ from gf2lab.gf2k import GF2kField
 from gf2lab.snmext import (
     default_source,
     is_linear_in_x,
+    query_masks,
     query_vector,
     seed_bits,
     snm_ext,
@@ -37,6 +39,20 @@ class TestSnmExt:
         for xv in (0x00, 0x82, 0xFF, 0x35):
             want = (BitVec(8, xv).value & mask).bit_count() & 1
             assert snm_ext(BitVec(8, xv), y, (1,)).value == want
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 18, 24, 40, 48])
+    def test_query_masks_match_query_vector(self, n):
+        # table-driven products for n/2 <= 8, carryless ones above
+        f = GF2kField(n // 2)
+        rng = random.Random(n)
+        elts = [1, 2, (1 << f.k) - 1] + [rng.randrange(1, 1 << f.k) for _ in range(20)]
+        for m in sorted({1, 2, 3, f.k}):
+            for indices in (tuple(range(1, min(m, f.k) + 1)), (f.k, 1)[:m]):
+                got = query_masks(f, elts, indices)
+                assert got.dtype == np.uint64
+                assert got.shape == (len(elts), len(indices))
+                want = [[query_vector(f, y, i) for i in indices] for y in elts]
+                assert got.tolist() == want, (m, indices)
 
     def test_linear_in_x_all_seeds_n8(self):
         assert is_linear_in_x(8)
