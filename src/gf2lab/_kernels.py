@@ -18,6 +18,8 @@ image rank, then takes the first minimum over bases; `pooled_ranks`
 ranks the images under all maps together, for the expander checks.
 `rank_words` is the scalar elimination, by highest set bit, behind
 `GF2Matrix.rank` and the expander checks on rows wider than 64 bits.
+`parity_words` gives the parity of x . q for 64 consecutive inputs per
+uint64 word, which the branching-program evaluator runs on.
 
 The m=1 sweeps take a whole chunk of bases at once and work through
 its cosets in sub-batches.  The xor and joint sweeps AND packed uint64
@@ -168,6 +170,27 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     if pad:
         bits = np.pad(bits, ((0, 0), (0, pad)))
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+# bit j of word m is the parity of j & m, for j, m < 64
+_LOW_PARITY = _pack(
+    (np.bitwise_count(np.arange(64)[:, None] & np.arange(64)) & 1).astype(np.uint8)
+)[:, 0]
+
+
+def parity_words(q: int, words: np.ndarray) -> np.ndarray:
+    """Packed parities of the inputs' dot product with q: bit j of the
+    result's word i is parity((64 * words[i] + j) & q).
+
+    The low six bits of q pick one of 64 fixed words; it is complemented
+    wherever the word index meets the rest of q in odd parity.
+    """
+    low = _LOW_PARITY[q & 63]
+    high = q >> 6
+    if not high:
+        return np.full(len(words), low)
+    odd = (np.bitwise_count(words & np.uint64(high)) & 1).view(bool)
+    return np.where(odd, ~low, low)
 
 
 def _cosets(bases, n: int, with_shifts: bool,

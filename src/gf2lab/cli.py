@@ -210,7 +210,9 @@ def cmd_lbp(args) -> int:
         src = AffineSource.random(args.n, args.k, rng)
         prog = subspace_indicator_srolbp(src.basis, src.shift)
         ok, _ = is_strongly_read_once(prog)
-        table = prog.eval_all()
+        # the indicator's truth table, packed once for every catalog member
+        words = prog.eval_words().astype("<u8", copy=False)
+        table = BitVec(1 << args.n, int.from_bytes(words.tobytes(), "little"))
         worst = Fraction(0)
         worst_name = ""
         for name, base in baseline_catalog(args.n, seed=args.seed):

@@ -17,10 +17,12 @@ the output to the verify module and judges by measured bias.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -410,20 +412,10 @@ class PipelineParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineParams":
-        """Rebuild from the recorded builder inputs (deterministic)."""
-        b = obj["builder"]
-        return cls.build(
-            n=b["n"],
-            delta=Fraction(b["delta"]),
-            mode=b["mode"],
-            expander_seed=b["expander_seed"],
-            h2=b["h2"],
-            H1=b["H1"],
-            n1=b["n1"],
-            n3=b["n3"],
-            t_override=b["t"],
-            beta_prime=Fraction(b["beta_prime"]),
-        )
+        """Rebuild from the recorded builder inputs.  `build` is
+        deterministic and every params class is frozen, so equal inputs
+        share one object per process."""
+        return _from_builder(cls, json.dumps(obj["builder"], sort_keys=True))
 
     @classmethod
     def toy(cls, expander_seed: int = 7) -> "PipelineParams":
@@ -437,6 +429,23 @@ class PipelineParams:
         and sampled bias measurements."""
         return cls.build(24, Fraction(1), t_override=4,
                          expander_seed=expander_seed)
+
+
+@lru_cache(maxsize=8)  # keyed by the builder inputs' values, never by path or id()
+def _from_builder(cls, builder: str) -> PipelineParams:
+    b = json.loads(builder)
+    return cls.build(
+        n=b["n"],
+        delta=Fraction(b["delta"]),
+        mode=b["mode"],
+        expander_seed=b["expander_seed"],
+        h2=b["h2"],
+        H1=b["H1"],
+        n1=b["n1"],
+        n3=b["n3"],
+        t_override=b["t"],
+        beta_prime=Fraction(b["beta_prime"]),
+    )
 
 
 def _halving_dims(n: int, t: int, h2: int, H1: int) -> set[int]:

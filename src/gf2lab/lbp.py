@@ -4,6 +4,8 @@ decomposition.
 
 Nodes query arbitrary linear functionals; ordinary ROBPs are the
 special case of weight-1 queries, so one evaluator serves both models.
+Exhaustive evaluation runs on packed words, 64 inputs to a uint64, and
+exact correlation counts disagreements by popcount on those words.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._kernels import _bits, _pack, parity_words
 from .bits import BitVec, GF2Matrix
 from .subspaces import BudgetExceeded
 
@@ -106,46 +109,48 @@ class LinearBP:
                 raise ValueError("cycle detected during evaluation")
         return 1 if cur == SINK1 else 0
 
-    def eval_block(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation on an array of inputs (uint64)."""
-        if self.source == SINK1:
-            return np.ones(len(xs), dtype=bool)
-        if self.source == SINK0:
-            return np.zeros(len(xs), dtype=bool)
+    def eval_words(self) -> np.ndarray:
+        """Acceptance over all 2^n inputs (n <= 28), packed: bit j of
+        word w is the output on input 64w + j.  Below n = 6 the one
+        word is zero past bit 2^n."""
+        if self.n > EXHAUSTIVE_CAP_N:
+            raise BudgetExceeded(f"exhaustive evaluation capped at n={EXHAUSTIVE_CAP_N}")
+        total = 1 << max(self.n - 6, 0)
+        chunk = 1 << (_CHUNK_BITS - 6)
         order = self.topo_order()
-        reach: dict[int, np.ndarray] = {
-            self.source: np.ones(len(xs), dtype=bool)
-        }
-        accept = np.zeros(len(xs), dtype=bool)
+        out = np.empty(total, dtype=np.uint64)
+        for start in range(0, total, chunk):
+            words = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+            out[start : start + len(words)] = self._accept_words(order, words)
+        if self.n < 6:
+            out &= np.uint64((1 << (1 << self.n)) - 1)
+        return out
+
+    def _accept_words(self, order: list[int], words: np.ndarray) -> np.ndarray:
+        """Packed acceptance of the inputs 64w .. 64w + 63 for each word
+        index w: each node splits the mask of inputs reaching it by the
+        packed parity of its query."""
+        accept = np.zeros(len(words), dtype=np.uint64)
+        if self.source in (SINK0, SINK1):
+            return ~accept if self.source == SINK1 else accept
+        reach = {self.source: ~accept}
         for v in order:
-            mask = reach.pop(v, None)
-            if mask is None:
-                continue
+            mask = reach.pop(v)
             node = self.nodes[v]
-            q = np.uint64(node.query.value)
-            par = (np.bitwise_count(xs & q) & np.uint64(1)).astype(bool)
-            for bit, e in ((False, node.e0), (True, node.e1)):
-                sub = mask & (par == bit)
+            hit = mask & parity_words(node.query.value, words)
+            for e, sub in ((node.e0, mask ^ hit), (node.e1, hit)):
                 if e == SINK1:
                     accept |= sub
                 elif e != SINK0:
                     if e in reach:
-                        reach[e] = reach[e] | sub
+                        reach[e] |= sub
                     else:
                         reach[e] = sub
         return accept
 
     def eval_all(self) -> np.ndarray:
-        """Acceptance over all 2^n inputs (n <= 28, chunked)."""
-        if self.n > EXHAUSTIVE_CAP_N:
-            raise BudgetExceeded(f"exhaustive evaluation capped at n={EXHAUSTIVE_CAP_N}")
-        total = 1 << self.n
-        chunk = 1 << min(self.n, _CHUNK_BITS)
-        out = np.zeros(total, dtype=bool)
-        for start in range(0, total, chunk):
-            xs = np.arange(start, start + chunk, dtype=np.uint64)
-            out[start : start + chunk] = self.eval_block(xs)
-        return out
+        """Acceptance over all 2^n inputs as 2^n bools (n <= 28)."""
+        return _bits(self.eval_words(), self.n).view(bool)
 
     # -- wire format ------------------------------------------------------
     def to_json(self) -> dict:
@@ -263,24 +268,25 @@ def is_coordinate_robp(prog: LinearBP) -> bool:
 
 
 def _f_table(f, n: int) -> np.ndarray:
+    """The truth table of f on all 2^n inputs, packed as in
+    `LinearBP.eval_words`."""
     if isinstance(f, LinearBP):
-        return f.eval_all()
-    if isinstance(f, np.ndarray):
-        if f.shape != (1 << n,):
+        if f.n != n:
             raise ValueError("truth table length mismatch")
-        return f.astype(bool)
+        return f.eval_words()
     if isinstance(f, BitVec):
         if f.n != 1 << n:
             raise ValueError("truth table length mismatch")
-        out = np.zeros(1 << n, dtype=bool)
-        v = f.value
-        while v:
-            low = v & -v
-            out[low.bit_length() - 1] = True
-            v ^= low
-        return out
-    return np.fromiter((bool(f(x) & 1) for x in range(1 << n)), dtype=bool,
-                       count=1 << n)
+        n_bytes = 8 << max(n - 6, 0)
+        return np.frombuffer(f.value.to_bytes(n_bytes, "little"), dtype="<u8")
+    if isinstance(f, np.ndarray):
+        if f.shape != (1 << n,):
+            raise ValueError("truth table length mismatch")
+        bits = f.astype(bool)
+    else:
+        bits = np.fromiter((bool(f(x) & 1) for x in range(1 << n)), dtype=bool,
+                           count=1 << n)
+    return _pack(bits[None].view(np.uint8))[0]
 
 
 def correlation(
@@ -293,15 +299,15 @@ def correlation(
 ):
     """Agreement probability Pr[P(x) = f(x)] over uniform inputs.
 
-    Exhaustive mode returns an exact Fraction; sampled mode returns
-    (estimate, radius) with a two-sided Hoeffding radius at the stated
-    confidence level.
+    f is a LinearBP, a truth table (2^n bools, or a BitVec of 2^n
+    bits), or a callable on int inputs.  Exhaustive mode returns an
+    exact Fraction, counting disagreements on packed words; sampled
+    mode returns (estimate, radius) with a two-sided Hoeffding radius
+    at the stated confidence level.
     """
     if mode == "exhaustive":
-        table = prog.eval_all()
-        ftab = _f_table(f, prog.n)
-        agree = int(np.count_nonzero(table == ftab))
-        return Fraction(agree, 1 << prog.n)
+        differ = np.bitwise_count(prog.eval_words() ^ _f_table(f, prog.n)).sum()
+        return Fraction((1 << prog.n) - int(differ), 1 << prog.n)
     if mode == "sample":
         if samples < 1:
             raise ValueError("need a positive sample count")
@@ -311,7 +317,7 @@ def correlation(
         agree = 0
         for _ in range(samples):
             xv = rng.getrandbits(prog.n)
-            fx = fcall(xv) & 1 if fcall else int(ftab[xv])
+            fx = fcall(xv) & 1 if fcall else int(ftab[xv >> 6]) >> (xv & 63) & 1
             agree += prog.eval(BitVec(prog.n, xv)) == fx
         radius = math.sqrt(math.log(2 / (1 - confidence)) / (2 * samples))
         return Fraction(agree, samples), radius

@@ -18,6 +18,11 @@ def raw_parity(v: int) -> int:
     return bin(v).count("1") & 1
 
 
+def raw_parity_words(q: int, words) -> list[int]:
+    """Bit j of entry i is the parity of (64 * words[i] + j) & q."""
+    return [sum(raw_parity((64 * w + j) & q) << j for j in range(64)) for w in words]
+
+
 def raw_expand(value: int, w: int, width: int) -> int:
     if w >= width:
         return value & ((1 << width) - 1)

@@ -151,6 +151,21 @@ class TestPipeline:
         assert [e["alpha"] for e in js["expanders"]] == (
             ["1/2", "3/4", "1", "1"] if name == "toy" else ["1/3", "5/6"])
 
+    def test_from_json_memoized_on_builder_values(self):
+        js = MINI.to_json()
+        p = PipelineParams.from_json(js)
+        # an equal dict, built apart and with its keys in another order,
+        # gives the same object
+        again = json.loads(json.dumps(js))
+        again["builder"] = dict(reversed(list(again["builder"].items())))
+        assert PipelineParams.from_json(again) is p
+        assert p == MINI
+        other = json.loads(json.dumps(js))
+        other["builder"]["expander_seed"] = 8
+        q = PipelineParams.from_json(other)
+        assert q is not p and q.expander_seed == 8
+        assert q == PipelineParams.mini(expander_seed=8)
+
     def test_json_serializes(self):
         import json
 

@@ -11,7 +11,8 @@ import pytest
 
 from gf2lab import _kernels, verify
 from gf2lab.verify import affine_extractor_distance, builtin_function, directional_bias
-from reference import gather_scan_m1, raw_condenser_sweep, raw_rank, raw_rref_bases
+from reference import (gather_scan_m1, raw_condenser_sweep, raw_parity_words, raw_rank,
+                       raw_rref_bases)
 
 KINDS = ("affine", "xor", "joint")
 TABLES = ("random", "zero", "parity", "ip", "sparse")
@@ -197,6 +198,16 @@ def test_byte_tables_shape():
     for bad in ([], [1, 2, 3], np.zeros((2, 3, 4), dtype=np.uint64)):
         with pytest.raises(ValueError, match=r"shape \(maps, n\)"):
             _kernels.byte_tables(bad, 8)
+
+
+@pytest.mark.parametrize("q", [0, 1, 0b101101, 63, 64, 0b1000001, 0xABCDEF,
+                               (1 << 27) | 5, (1 << 28) - 1])
+def test_parity_words_matches_oracle(q):
+    # word indices across both chunks of an n = 21 table and up to n = 28
+    words = list(range(40)) + [(1 << 14) - 1, 1 << 14, 12345, (1 << 22) - 1]
+    got = _kernels.parity_words(q, np.array(words, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.shape == (len(words),)
+    assert [int(w) for w in got] == raw_parity_words(q, words)
 
 
 def _xor_of(values) -> int:

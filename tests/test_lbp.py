@@ -37,6 +37,36 @@ def brute_eval(prog: LinearBP, xv: int) -> int:
     return 1 if cur == SINK1 else 0
 
 
+def random_program(n: int, size: int, rng: random.Random) -> LinearBP:
+    """A random single-source DAG with arbitrary queries (zero included):
+    forward edges at random, then only the nodes reachable from node 0,
+    renumbered in order."""
+    edges = []
+    for i in range(size):
+        targets = list(range(i + 1, size)) + [SINK0, SINK1]
+        edges.append((rng.choice(targets), rng.choice(targets)))
+    seen, stack = {0}, [0]
+    while stack:
+        for e in edges[stack.pop()]:
+            if e >= 0 and e not in seen:
+                seen.add(e)
+                stack.append(e)
+    new = {old: i for i, old in enumerate(sorted(seen))}
+    new.update({SINK0: SINK0, SINK1: SINK1})
+    nodes = tuple(
+        Node(BitVec(n, rng.choice([0, (1 << n) - 1, rng.getrandbits(n)])),
+             new[edges[old][0]], new[edges[old][1]])
+        for old in sorted(seen)
+    )
+    prog = LinearBP(n, nodes, 0)
+    prog.validate()
+    return prog
+
+
+def word_bit(words: np.ndarray, xv: int) -> int:
+    return int(words[xv >> 6]) >> (xv & 63) & 1
+
+
 class TestEval:
     def test_single_node(self):
         prog = LinearBP(3, (Node(BitVec(3, 1), SINK0, SINK1),), 0)
@@ -63,12 +93,14 @@ class TestEval:
             0,
         )
         prog.validate()
+        # the program is constant 0: q=0 -> node1 -> q=0 -> sink0 and
+        # q=1 -> node2 -> q=1 -> sink0
         for xv in range(16):
-            want = 0 if bin(0b1011 & xv).count("1") % 2 == 0 else 0
-            # path: q=0 -> node1 -> q=0 -> sink0; q=1 -> node2 -> q=1 -> sink0
-            assert prog.eval(BitVec(4, xv)) == want
+            assert prog.eval(BitVec(4, xv)) == 0
+        assert not prog.eval_all().any()
+        assert prog.eval_words().tolist() == [0]
 
-    def test_eval_block_matches_scalar(self):
+    def test_eval_all_matches_scalar(self):
         rng = random.Random(300)
         nodes = (
             Node(BitVec(5, rng.getrandbits(5) or 1), 1, 2),
@@ -79,6 +111,51 @@ class TestEval:
         table = prog.eval_all()
         for xv in range(32):
             assert bool(table[xv]) == bool(brute_eval(prog, xv))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_packed_evaluation_matches_per_point(self, n):
+        rng = random.Random(f"packed-{n}")
+        for size in (1, 2, 3, 5, 8, 13):
+            prog = random_program(n, size, rng)
+            words = prog.eval_words()
+            assert words.dtype == np.uint64
+            assert words.shape == (1 << max(n - 6, 0),)
+            if n < 6:  # one word, zero past the 2^n inputs
+                assert int(words[0]) >> (1 << n) == 0
+            table = prog.eval_all()
+            assert table.dtype == bool and table.shape == (1 << n,)
+            for xv in range(1 << n):
+                want = brute_eval(prog, xv)
+                assert prog.eval(BitVec(n, xv)) == want
+                assert word_bit(words, xv) == want
+                assert int(table[xv]) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 12])
+    def test_constant_programs(self, n):
+        for source, bit in ((SINK0, 0), (SINK1, 1)):
+            prog = LinearBP(n, (), source)
+            prog.validate()
+            words = prog.eval_words()
+            assert words.tolist() == [bit * ((1 << min(64, 1 << n)) - 1)] * (1 << max(n - 6, 0))
+            assert prog.eval_all().tolist() == [bool(bit)] * (1 << n)
+            assert prog.eval(BitVec(n, (1 << n) - 1)) == bit
+
+    def test_packed_evaluation_across_the_chunk_boundary(self):
+        # n = 21 evaluates in two chunks of 2^20 inputs
+        n = 21
+        rng = random.Random("chunk-21")
+        prog = random_program(n, 12, rng)
+        assert len({brute_eval(prog, xv) for xv in range(4096)}) == 2
+        words = prog.eval_words()
+        assert words.shape == (1 << 15,)
+        table = prog.eval_all()
+        points = list(range((1 << 20) - 130, (1 << 20) + 130))
+        points += [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(200)]
+        for xv in points:
+            want = brute_eval(prog, xv)
+            assert prog.eval(BitVec(n, xv)) == want
+            assert word_bit(words, xv) == want
+            assert int(table[xv]) == want
 
     def test_cycle_detected(self):
         nodes = (
@@ -180,6 +257,23 @@ class TestCorrelation:
         with pytest.raises(ValueError, match="truth table length mismatch"):
             correlation(prog, np.ones(length, dtype=bool), mode=mode,
                         samples=10)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 7, 10])
+    @pytest.mark.parametrize("kind", ["ndarray", "BitVec", "callable", "LinearBP"])
+    def test_matches_bool_compare_count(self, n, kind):
+        rng = random.Random(f"corr-{n}-{kind}")
+        prog = random_program(n, 6, rng)
+        if kind == "LinearBP":
+            f = random_program(n, 6, rng)
+            fbits = [brute_eval(f, xv) for xv in range(1 << n)]
+        else:
+            fbits = [rng.getrandbits(1) for _ in range(1 << n)]
+            f = {"ndarray": np.array(fbits, dtype=bool),
+                 "BitVec": BitVec.from_bits(fbits),
+                 "callable": lambda xv: fbits[xv]}[kind]
+        table = np.array([brute_eval(prog, xv) for xv in range(1 << n)], dtype=bool)
+        agree = int(np.count_nonzero(table == np.array(fbits, dtype=bool)))
+        assert correlation(prog, f) == Fraction(agree, 1 << n)
 
     def test_budget(self):
         from gf2lab.subspaces import BudgetExceeded
