@@ -3,12 +3,13 @@
 
 Streams the subspaces from `rref_blocks` through the sweep driver,
 runs each sweep on every chunk, and prints the summed time, the chunk
-count and the peak RSS.  Memory stays at one chunk of bases, so large
-enumerations are limited by time, not by memory.  Each chunk is its
-own kernel call.  Like the library's sweeps, a bias sweep stops after
-the first chunk whose result reaches the largest possible value;
-`rref_blocks` grows its blocks from 64 bases, so early-exit rows time
-only the first small chunks.  The kernels' agreement with independent oracles is tested in
+count and the peak RSS.  Memory stays at one chunk of bases and the
+spectra of f, so large enumerations are limited by time, not by
+memory.  Each chunk is its own kernel call.  Like the library's
+sweeps, a bias sweep stops after the first chunk whose result reaches
+the largest possible value; `rref_blocks` grows its blocks from 64
+bases, so early-exit rows time only the first small chunks.  The
+kernels' agreement with independent oracles is tested in
 tests/test_kernels.py.
 
     python benchmarks/bench_kernels.py [--n 8] [--k 4] [--repeat 1]
@@ -62,12 +63,16 @@ def main() -> None:
 
     # bias sweeps stop at the first maximal witness; at desk sizes a
     # maximal coset almost always exists, so those rows mostly measure
-    # table setup and the first chunks.  condenser_sweep, and
-    # the bias sweeps at higher k, run the full enumeration.
+    # the spectra's first rows and the first chunks.  condenser_sweep,
+    # and the bias sweeps at higher k, run the full enumeration.  The
+    # spectra of f are built once, as a library sweep builds them: F^
+    # here, on its own row, and the rows of G^ inside the first bias
+    # sweep that reads them (the joint sweep reuses the xor sweep's).
     fval = rng.getrandbits(1 << n)
-    words = max(1, (1 << n) >> 6)
-    fw = np.array([(fval >> (64 * i)) & ((1 << 64) - 1) for i in range(words)],
-                  dtype=np.uint64)
+    bits = [(fval >> x) & 1 for x in range(1 << n)]
+    t0 = time.perf_counter()
+    spec = _kernels.Spectra(bits, n)
+    print(f"{'Spectra (F^ only)':32s} {time.perf_counter() - t0:8.3f}s")
 
     # condenser sweep: 8 random row maps of shape (n/2) x n
     half = n // 2
@@ -80,7 +85,7 @@ def main() -> None:
           lambda bases: _kernels.condenser_sweep(bases, map_cols, half, half),
           n, k, args.repeat)
     for name in ("affine_sweep_m1", "xor_sweep_m1", "joint_sweep_m1"):
-        bench(name, lambda bases: getattr(_kernels, name)(fw, n, bases, True),
+        bench(name, lambda bases: getattr(_kernels, name)(spec, n, bases, True),
               n, k, args.repeat, stop=1 << k)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS {peak_mb:.1f} MB")

@@ -19,28 +19,40 @@ ranks the images under all maps together, for the expander checks.
 `rank_words` is the scalar elimination, by highest set bit, behind
 `GF2Matrix.rank` and the expander checks on rows wider than 64 bits.
 `parity_words` gives the parity of x . q for 64 consecutive inputs per
-uint64 word, which the branching-program evaluator runs on.
+uint64 word, which the branching-program evaluator runs on.  `walsh`
+also gives `verify.eps_bias_check` every subset bias of an output
+histogram at once.
 
-The m=1 sweeps take a whole chunk of bases at once and work through
-its cosets in sub-batches.  The xor and joint sweeps AND packed uint64
-coset bitsets with a packed table of the 2^n - 1 directions and count
-bits with `np.bitwise_count`; the affine sweep sums f over each coset's
-points.  `np.argmax` over a sub-batch's statistics, flattened in
-(subspace, shift, direction) order, returns the same first maximizer
-as a sequential loop, and a sweep stops after the first sub-batch that
-reaches the largest possible value.
+The m=1 sweeps read coset sums off Walsh spectra.  By Poisson
+summation, the sum of a +-1 function H over the coset V + t of a k-dim
+subspace is 2^-(n-k) times the sum over s in the dual V⊥ of
+(-1)^(s.t) H^(s).  `Spectra` holds F^, the spectrum of (-1)^f(x), and
+builds on demand the rows of G^, whose row s holds, for every direction
+a, the spectrum of (-1)^(f(x)+f(x+a)) at s.  A sweep reads the spectrum
+along each subspace's dual span and runs the `walsh` butterfly over it,
+which gives the sums over all 2^(n-k) cosets at once, in canonical
+shift order; the plain sum gives the linear subspace alone.  With S_f
+and S_a the coset sums of (-1)^f(x) and (-1)^(f(x)+f(x+a)), the affine
+statistic is |S_f|, the xor bias |S_a| and the joint distance
+max(|S_f|, |S_a|), all in integers.  `np.argmax` over a sub-batch's
+statistics, flattened in (subspace, shift, direction) order, returns
+the same first maximizer as a sequential loop, and a sweep stops after
+the first sub-batch that reaches the largest possible value.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Sequence
 
 import numpy as np
 
 BACKEND = "numpy"  # the only implementation; benchmark reports print it
 
-# Cap on cosets x max(directions, 2^k) per sub-batch, and on the cells of
-# each block of the direction table built at once.  Every temporary of
-# the m=1 sweeps holds at most a few bytes per cell, or one row of 2^n.
+# Cap on the spectrum cells (cosets x directions) an m=1 sub-batch reads,
+# on the dual-span entries built at once (times n), and on the cells of
+# each block of G^ rows built at once.  Every temporary of the m=1 sweeps
+# holds at most a few bytes per cell, or one basis's cosets x directions,
+# or one row of 2^n.
 BLOCK_CELLS = 1 << 14
 
 
@@ -193,133 +205,204 @@ def parity_words(q: int, words: np.ndarray) -> np.ndarray:
     return np.where(odd, ~low, low)
 
 
-def _cosets(bases, n: int, with_shifts: bool,
-            per_coset: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Sub-batches (subspace index, shift, points) of the chunk's cosets.
+def walsh(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of an integer array along
+    `axis`, whose length is 2^m: entry b becomes the sum over c of
+    (-1)^popcount(b & c) x[c].
 
-    Cosets come in (subspace, shift) order, shifts in the canonical
-    coset-representative order (bit t of the shift index sets the t-th
-    non-pivot coordinate).  A sub-batch holds max(1, BLOCK_CELLS //
-    per_coset) cosets; points is a (cosets, 2^k) array.
+    Each of the m passes adds and subtracts the pairs (2i, 2i + 1) into
+    entries i and i + 2^(m-1) of a second buffer (the constant-geometry
+    butterfly, which ends in natural order), so every pass is two ufunc
+    calls over whole rows.  Every partial sum is a partial transform, no
+    larger in magnitude than the sum of |x|.  A C-contiguous x is used
+    as one of the two buffers and overwritten; use the return value.
     """
-    rows = np.asarray(bases, dtype=np.uint64).astype(np.int64)
+    x = np.asarray(x)
+    ax = axis % x.ndim
+    size = x.shape[ax]
+    pre, post = math.prod(x.shape[:ax]), math.prod(x.shape[ax + 1:])
+    a = np.ascontiguousarray(x).reshape(pre, size, post)
+    b = np.empty_like(a)
+    half = size // 2
+    for _ in range(size.bit_length() - 1):
+        pairs = a.reshape(pre, half, 2, post)
+        np.add(pairs[:, :, 0], pairs[:, :, 1], out=b[:, :half])
+        np.subtract(pairs[:, :, 0], pairs[:, :, 1], out=b[:, half:])
+        a, b = b, a
+    return a.reshape(x.shape)
+
+
+class Spectra:
+    """The Walsh spectra of a single-bit f on F2^n that the m=1 sweeps read.
+
+    `fhat[s]` is F^(s) = sum_x (-1)^(f(x) + s.x).  `ghat(s)` gives the
+    rows G^[s, a] = sum_x (-1)^(f(x) + f(x^a) + s.x) for a = 1 .. 2^n - 1,
+    as int32.  Row s is 2^-n WHT_u[F^(u) F^(u^s)] (the XOR convolution
+    theorem); rows are built on first use, BLOCK_CELLS cells at a time,
+    and kept in order of first use, so a sweep that reads few rows
+    builds few.
+    """
+
+    def __init__(self, bits, n: int):
+        bits = np.asarray(bits) & 1
+        if bits.shape != (1 << n,):
+            raise ValueError(f"f needs 2^{n} entries, got {bits.shape}")
+        self.n = n
+        self.fhat = walsh(1 - 2 * bits.astype(np.int32))
+        self._slot = np.full(1 << n, -1, dtype=np.intp)
+        self._rows = np.empty((0, (1 << n) - 1), dtype=np.int32)
+        self._used = 0
+
+    def ghat(self, s: np.ndarray) -> np.ndarray:
+        """G^[s, 1:] for an int array s: shape s.shape + (2^n - 1,)."""
+        slots = self._slot[s]
+        if self._used < len(self._slot) and (slots < 0).any():
+            want = np.zeros(len(self._slot), dtype=bool)
+            want[s[slots < 0]] = True
+            # as many unbuilt rows again as are built: O(n) builds a sweep
+            want[np.flatnonzero(self._slot < 0)[:self._used]] = True
+            self._build(np.flatnonzero(want))
+            slots = self._slot[s]
+        return self._rows[slots]
+
+    def _build(self, want: np.ndarray) -> None:
+        # int32 holds every partial sum of a row's butterfly while
+        # n <= 15: each is at most sum_u |F^(u) F^(u^s)| <= 2^(2n), by
+        # Cauchy-Schwarz and Parseval
+        if self.n > 15:
+            raise ValueError(f"G^ rows need n <= 15, got {self.n}")
+        size = 1 << self.n
+        need = self._used + len(want)
+        if need > len(self._rows):
+            # in place (realloc): no second copy of a large table is held.
+            # ghat hands out copies, so no view of the rows outlives this.
+            self._rows.resize((min(size, max(need, 2 * len(self._rows))), size - 1),
+                              refcheck=False)
+        u = np.arange(size)[:, None]
+        step = max(1, BLOCK_CELLS // size)
+        for i in range(0, len(want), step):
+            s = want[i:i + step]
+            # (u, row) layout: the butterflies run over whole rows of s
+            prod = walsh(self.fhat[u ^ s] * self.fhat[:, None], axis=0)
+            end = self._used + len(s)
+            self._rows[self._used:end] = (prod[1:] >> self.n).T
+            self._slot[s] = np.arange(self._used, end)
+            self._used = end
+
+
+def _dual_spans(rows: np.ndarray, n: int) -> np.ndarray:
+    """(bases, 2^(n-k)) spans of the duals of RREF bases, in butterfly order.
+
+    With pivots p_i (the lowest set bit of row i) and free columns
+    j_0 < ... < j_(n-k-1), d_t = e_(j_t) + sum{e_(p_i) : row i has bit
+    j_t} is orthogonal to every row, and d_t . e_(j_u) = [t = u].
+    Entry c is the XOR of the d_t for the set bits t of c, so the
+    butterfly of a spectrum read along the span gives, at index b,
+    2^(n-k) times its sum over the coset shifted by the b-th canonical
+    representative (bit t of b sets free column j_t).
+    """
     ns, k = rows.shape
-    n_free = n - k if with_shifts else 0
-    per_batch = max(1, BLOCK_CELLS // per_coset)
-    step = max(1, per_batch >> n_free)
-    for s0 in range(0, ns, step):
-        blk = rows[s0:s0 + step]
-        span = np.zeros((len(blk), 1), dtype=np.int64)
-        for j in range(k):
-            span = np.concatenate([span, span ^ blk[:, j, None]], axis=1)
-        shifts = np.zeros((len(blk), 1), dtype=np.int64)
-        if n_free:
-            pivots = np.bitwise_or.reduce(blk & -blk, axis=1)
-            free = (pivots[:, None] >> np.arange(n)) & 1 == 0
-            free_cols = np.nonzero(free)[1].reshape(len(blk), n_free)
-            for t in range(n_free):
-                bit = np.left_shift(1, free_cols[:, t, None])
-                shifts = np.concatenate([shifts, shifts | bit], axis=1)
-        sub = np.repeat(np.arange(len(blk)), shifts.shape[1])
-        flat = shifts.ravel()
-        for c0 in range(0, len(flat), per_batch):
-            sl = slice(c0, c0 + per_batch)
-            yield s0 + sub[sl], flat[sl], span[sub[sl]] ^ flat[sl, None]
+    piv = rows & -rows
+    free = np.bitwise_or.reduce(piv, axis=1) ^ ((1 << n) - 1)
+    span = np.zeros((ns, 1), dtype=np.int64)
+    for _ in range(n - k):
+        e = free & -free  # e_(j_t), the lowest free column left
+        free ^= e
+        d = np.bitwise_or.reduce(piv, axis=1, where=rows & e[:, None] != 0,
+                                 keepdims=True)
+        span = np.concatenate([span, span ^ (d | e[:, None])], axis=1)
+    return span
 
 
-def _coset_bits(points: np.ndarray, n: int) -> np.ndarray:
-    """Packed (cosets, words) bitsets of the cosets' points."""
-    ind = np.zeros((len(points), max(1 << n, 64)), dtype=np.uint8)
-    ind[np.arange(len(points))[:, None], points] = 1
-    return _pack(ind)
-
-
-def _direction_table(fbits: np.ndarray, n: int, xor: bool) -> np.ndarray:
-    """Packed g_a for a = 1 .. 2^n - 1, as (words, directions).
-
-    Bit x of g_a is f(x ^ a), XORed with f(x) when `xor`.  Built
-    BLOCK_CELLS bits at a time, straight into words.
-    """
-    size = 1 << n
-    xs = np.arange(size)
-    table = np.empty((max(1, size >> 6), size - 1), dtype=np.uint64)
-    step = max(1, BLOCK_CELLS // size)
-    for a0 in range(1, size, step):
-        a = np.arange(a0, min(a0 + step, size))
-        g = fbits[xs ^ a[:, None]]
-        if xor:
-            g ^= fbits
-        table[:, a0 - 1:a[-1]] = _pack(g).T
-    return table
-
-
-def _and_counts(bits: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(cosets, directions) popcounts of bits[c] & g_a, one word at a time."""
-    acc = np.zeros((len(bits), table.shape[1]), dtype=np.int32)
-    for w in range(table.shape[0]):
-        acc += np.bitwise_count(bits[:, w, None] & table[w])
-    return acc
-
-
-def _first_max(batches, score, span: int) -> tuple[int, int, int, int]:
+def _coset_sweep(n: int, bases, with_shifts: bool, directions: bool,
+                 stat) -> tuple[int, int, int, int]:
     """(num, subspace index, shift, direction) of the first strict
-    maximizer of score(points) over the sub-batches; the direction is
-    the column index plus one.  Stops at the first num equal to span."""
+    maximizer of the statistic over (subspace, shift, direction), the
+    direction 1-based, or 0 without `directions`.
+
+    Dual spans are built for BLOCK_CELLS // (n 2^(n-k)) bases at a
+    time; `stat(spans)` returns a function of a slice of those bases
+    that gives the integer array (bases, shifts, directions) of 2^(n-k)
+    times the statistic, shifts in canonical order.  Each slice reads at
+    most BLOCK_CELLS cells of spectra, and a sweep stops after the first
+    slice that reaches the largest possible value, 2^k.
+    """
+    rows = np.asarray(bases, dtype=np.uint64)
+    ns, k = rows.shape
+    scale = n - k
+    span_step = max(1, BLOCK_CELLS // (n << scale))
+    step = max(1, BLOCK_CELLS // ((1 << scale) * ((1 << n) - 1 if directions else 1)))
     best = (-1, -1, -1, -1)
-    for si, shifts, points in batches:
-        nums = score(points)
-        i = int(np.argmax(nums))
-        c, col = divmod(i, nums.shape[1])
-        num = int(nums[c, col])
-        if num > best[0]:
-            best = (num, int(si[c]), int(shifts[c]), col + 1)
-            if num == span:
-                break
+    for b0 in range(0, ns, span_step):
+        blk = rows[b0:b0 + span_step].astype(np.int64)
+        at = stat(_dual_spans(blk, n))
+        for s0 in range(0, len(blk), step):
+            nums = at(slice(s0, s0 + step))
+            i = int(np.argmax(nums))
+            num = int(nums.flat[i]) >> scale
+            if num > best[0]:
+                c, t, a = np.unravel_index(i, nums.shape)
+                r = blk[s0 + c]
+                pivots = int(np.bitwise_or.reduce(r & -r))
+                free = [j for j in range(n) if not (pivots >> j) & 1]
+                shift = sum(1 << j for u, j in enumerate(free) if (t >> u) & 1)
+                best = (num, b0 + s0 + int(c), shift, int(a) + 1 if directions else 0)
+                if num == 1 << k:
+                    return best
     return best
 
 
-def affine_sweep_m1(f_words, n: int, bases, with_shifts: bool):
-    """Max over (subspace, shift) of |S - 2*|coset ∩ f||; Δ = num/(2S)."""
-    fbits = _bits(f_words, n)
-    span = 1 << np.shape(bases)[1]
+def _coset_sums(read, spans: np.ndarray, with_shifts: bool) -> np.ndarray:
+    """2^(n-k) times the coset sums of the spectrum `read(s)` returns,
+    from its values along the dual spans (bases, 2^(n-k)): an array
+    (bases, shifts, ...), every shift in canonical order, or shift 0
+    only.  Shift 0 alone is the plain sum, read in (span, bases) order
+    so that it adds whole contiguous blocks."""
+    if with_shifts:
+        return walsh(read(spans), axis=1)
+    vals = read(spans.T)
+    return vals.sum(axis=0, dtype=vals.dtype)[:, None]
 
-    def score(points):
-        ones = fbits[points].sum(axis=1, dtype=np.int64)
-        return np.abs(span - 2 * ones)[:, None]
 
-    return _first_max(_cosets(bases, n, with_shifts, span), score, span)[:3]
+def affine_sweep_m1(spec: Spectra, n: int, bases, with_shifts: bool):
+    """Max over (subspace, shift) of |sum over coset of (-1)^f(x)|;
+    Δ = num/(2S)."""
+
+    def stat(spans):
+        nums = np.abs(_coset_sums(spec.fhat.take, spans, with_shifts))[:, :, None]
+        return lambda sl: nums[sl]
+
+    return _coset_sweep(n, bases, with_shifts, False, stat)[:3]
 
 
-def xor_sweep_m1(f_words, n: int, bases, with_shifts: bool):
+def xor_sweep_m1(spec: Spectra, n: int, bases, with_shifts: bool):
     """Max over (subspace, shift, a != 0) of |sum over coset of (-1)^(f(x)+f(x+a))|.
 
     Returned num satisfies bias = num / 2^k.
     """
-    fbits = _bits(f_words, n)
-    table = _direction_table(fbits, n, xor=True)
-    span = 1 << np.shape(bases)[1]
 
-    def score(points):
-        return np.abs(span - 2 * _and_counts(_coset_bits(points, n), table))
+    def stat(spans):
+        return lambda sl: np.abs(_coset_sums(spec.ghat, spans[sl], with_shifts))
 
-    batches = _cosets(bases, n, with_shifts, max(table.shape[1], span))
-    return _first_max(batches, score, span)
+    return _coset_sweep(n, bases, with_shifts, True, stat)
 
 
-def joint_sweep_m1(f_words, n: int, bases, with_shifts: bool):
-    """Max over (subspace, shift, a != 0) of sum_v |c_0v - c_1v|; Δ = num/(2S)."""
-    fw = np.asarray(f_words, dtype=np.uint64)
-    fbits = _bits(f_words, n)
-    table = _direction_table(fbits, n, xor=False)
-    span = 1 << np.shape(bases)[1]
+def joint_sweep_m1(spec: Spectra, n: int, bases, with_shifts: bool):
+    """Max over (subspace, shift, a != 0) of sum_v |c_0v - c_1v|; Δ = num/(2S).
 
-    def score(points):
-        bits = _coset_bits(points, n)
-        m1, m0 = bits & fw, bits & ~fw
-        pc1 = np.bitwise_count(m1).sum(axis=1, dtype=np.int32)[:, None]
-        pc0 = span - pc1
-        c11, c01 = _and_counts(m1, table), _and_counts(m0, table)
-        return np.abs(pc0 - c01 - (pc1 - c11)) + np.abs(c01 - c11)
+    With c_uv the points where (f(x), f(x+a)) = (u, v), c00 - c10 and
+    c01 - c11 are (S_f + S_a)/2 and (S_f - S_a)/2, for S_f and S_a the
+    coset sums of (-1)^f(x) and (-1)^(f(x)+f(x+a)); so the statistic is
+    max(|S_f|, |S_a|).
+    """
 
-    batches = _cosets(bases, n, with_shifts, max(table.shape[1], span))
-    return _first_max(batches, score, span)
+    def stat(spans):
+        s_f = np.abs(_coset_sums(spec.fhat.take, spans, with_shifts))[:, :, None]
+
+        def nums(sl):
+            s_a = np.abs(_coset_sums(spec.ghat, spans[sl], with_shifts))
+            return np.maximum(s_a, s_f[sl], out=s_a)
+
+        return nums
+
+    return _coset_sweep(n, bases, with_shifts, True, stat)

@@ -11,14 +11,18 @@ disperser check takes the same walk with its own evaluator.
 
 The exhaustive m=1 sweeps run in the kernels instead, and they alone
 can be recomputed by a second, structurally different brute-forcer.
-The kernel path ANDs packed coset bitsets with a packed table of the
-directions and counts bits; `reference=True` instead sums every coset
-point for every direction as products of 0/1 indicator matrices, and
-`cross_check=True` runs both and insists on exact agreement,
-witnesses included.  `cross_check` and `reference` apply to
-exhaustive m=1 only and raise ValueError anywhere else.  Witness
+The kernel path builds the Walsh spectra of f once per sweep
+(`_kernels.Spectra`) and reads each coset sum off them by Poisson
+summation over the subspace's dual; `reference=True` instead sums
+every coset point for every direction as products of 0/1 indicator
+matrices, and `cross_check=True` runs both and insists on exact
+agreement, witnesses included.  `cross_check` and `reference` apply
+to exhaustive m=1 only and raise ValueError anywhere else.  Witness
 tie-breaking is fixed: the lexicographically smallest (subspace
 index, shift, direction) in the canonical enumeration order wins.
+
+The eps-bias check takes every subset bias of the output bits from
+one Walsh transform of the output histogram.
 """
 from __future__ import annotations
 
@@ -78,19 +82,6 @@ def as_table(f, n: int) -> list[int]:
             raise ValueError("truth table length mismatch")
         return [f[i] for i in range(1 << n)]
     return [f(x) for x in range(1 << n)]
-
-
-def _f_words(table: Sequence[int], n: int) -> np.ndarray:
-    size = 1 << n
-    fval = 0
-    for x in range(size):
-        if table[x] & 1:
-            fval |= 1 << x
-    words = max(1, size >> 6)
-    return np.array(
-        [(fval >> (64 * i)) & ((1 << 64) - 1) for i in range(words)],
-        dtype=np.uint64,
-    )
 
 
 # -- point evaluators: each defines its statistic -------------------------
@@ -245,7 +236,7 @@ def _reference_scan_m1(kind: str, table, n: int, k: int, with_shifts: bool):
 
 
 def _kernel_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
-    fw = _f_words(table, n)
+    spec = _kernels.Spectra(table, n)
     fn = {
         "affine": _kernels.affine_sweep_m1,
         "xor": _kernels.xor_sweep_m1,
@@ -253,7 +244,7 @@ def _kernel_sweep_m1(kind: str, table, n: int, k: int, with_shifts: bool):
     }[kind]
     best, best_rows = (-1, -1, -1, -1), ()
     for offset, chunk, got in sweep_chunks(
-        rref_blocks(n, k), lambda chunk: fn(fw, n, chunk, with_shifts)
+        rref_blocks(n, k), lambda chunk: fn(spec, n, chunk, with_shifts)
     ):
         # the affine kernel reports no direction
         num, si, shift, a = ([int(v) for v in got] + [-1])[:4]
@@ -270,18 +261,22 @@ def _sweep_cost(n: int, k: int, with_shifts: bool, directions: bool) -> int:
     return cosets * (((1 << n) - 1) if directions else 1)
 
 
-def _check_memory(n: int, directions: bool) -> None:
+def _check_memory(n: int, k: int, directions: bool) -> None:
     """Raise BudgetExceeded if an m=1 sweep's estimated peak bytes,
     kernel and reference, exceed MEMORY_BUDGET.
 
-    The estimate is the packed direction table (2^(2n)/8 bytes, or the
-    2^n-bit table of f alone), 64 bytes per point for the arrays of 2^n
-    entries (the table list, f as bytes and floats, index rows), and the
-    fixed sub-batch caps of the numpy kernels and of the reference.
+    The estimate is the int32 table of G^ (4 2^(2n) bytes; it grows in
+    place), 64 bytes per point for the arrays of 2^n entries (the table
+    list, f as bytes and floats, F^, index rows), 64 bytes per cell of
+    the kernels' BLOCK_CELLS blocks, 16 bytes per spectrum cell (2^(n-k)
+    cosets x directions) and per dual-span entry of one basis, the least
+    sub-batch a kernel reads, and the fixed blocks of the reference.
     """
-    packed = (1 << (2 * n if directions else n)) // 8
-    blocks = 64 * _kernels.BLOCK_CELLS + 96 * REFERENCE_CELLS
-    need = packed + (64 << n) + blocks
+    table = 4 << (2 * n) if directions else 0
+    cosets = 1 << (n - k)
+    one_basis = 16 * cosets * (((1 << n) - 1 if directions else 1) + 1)
+    blocks = 64 * _kernels.BLOCK_CELLS + one_basis + 96 * REFERENCE_CELLS
+    need = table + (64 << n) + blocks
     if need > MEMORY_BUDGET:
         raise BudgetExceeded(
             f"sweep needs about {need} bytes, over the {MEMORY_BUDGET}-byte budget")
@@ -343,7 +338,7 @@ def directional_bias(
         params["sweep_cost"] = cost
         params["budget"] = budget
         if m == 1:
-            _check_memory(n, directions=True)
+            _check_memory(n, k, directions=True)
         table = as_table(f, n)
         if m == 1:
             kind = "xor" if definition == "xor_bias" else "joint"
@@ -428,7 +423,7 @@ def affine_extractor_distance(
     if cost > budget:
         raise BudgetExceeded(f"sweep cost {cost} exceeds budget {budget}")
     if m == 1:
-        _check_memory(n, directions=False)
+        _check_memory(n, k, directions=False)
     table = as_table(f, n)
     if m == 1:
         runs = [("kernel", _kernel_sweep_m1("affine", table, n, k, with_shifts))]
@@ -515,29 +510,33 @@ def eps_bias_check(
 ) -> VerifyReport:
     """Max subset bias of the output bits, the implied joint-distance
     bound eps*2^(m/2), and the directly measured joint distance;
-    asserts measured <= implied (compared in squares, exactly)."""
+    asserts measured <= implied (compared in squares, exactly).
+
+    The bias of every subset S of the output bits is |h^(S)| / support,
+    for h the histogram of the outputs, so all 2^m of them are one
+    `_kernels.walsh` of h; the witness is the first subset that attains
+    the max, or 0 when none is biased.  The work charged against the
+    budget is the support plus the m 2^m of the transform.
+    """
     t0 = time.perf_counter()
     if m > 20:
         raise BudgetExceeded("eps-bias check capped at m = 20")
     src = source if source is not None else AffineSource.full(n)
-    if src.support_size() > budget:
-        raise BudgetExceeded("source support exceeds budget")
+    cost = src.support_size() + m * (1 << m)
+    if cost > budget:
+        raise BudgetExceeded(f"eps-bias check cost {cost} exceeds budget {budget}")
     table = as_table(f, n) if not callable(f) else None
     mask = (1 << m) - 1
     counts: dict[int, int] = {}
     for x in src.support():
         v = (f(x) if table is None else table[x]) & mask
         counts[v] = counts.get(v, 0) + 1
-    max_bias = Fraction(0)
-    worst_subset = 0
-    for s in range(1, 1 << m):
-        acc = 0
-        for v, c in counts.items():
-            acc += -c if (v & s).bit_count() & 1 else c
-        bias = Fraction(abs(acc), src.support_size())
-        if bias > max_bias:
-            max_bias = bias
-            worst_subset = s
+    hist = np.zeros(1 << m, dtype=np.int64)
+    hist[list(counts)] = list(counts.values())
+    biases = np.abs(_kernels.walsh(hist)[1:])  # subsets S != 0
+    top = int(biases.max(initial=0))
+    worst_subset = 1 + int(np.argmax(biases)) if top else 0
+    max_bias = Fraction(top, src.support_size())
     measured = uniform_given_distance(counts, m)
     # measured <= max_bias * 2^(m/2), squared to stay rational
     ok = measured * measured <= max_bias * max_bias * (1 << m)

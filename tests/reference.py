@@ -18,6 +18,29 @@ def raw_parity(v: int) -> int:
     return bin(v).count("1") & 1
 
 
+def raw_walsh(values) -> list[int]:
+    """Entry b is the sum over c of (-1)^popcount(b & c) values[c]."""
+    return [sum(-v if raw_parity(b & c) else v for c, v in enumerate(values))
+            for b in range(len(values))]
+
+
+def raw_max_subset_bias(counts, m: int, support: int) -> tuple[Fraction, int]:
+    """(max bias, first subset attaining it) over the subsets S != 0 of
+    the m output bits, from the count of each output value; (0, 0) when
+    no subset is biased.  One pass over the counts per subset."""
+    max_bias = Fraction(0)
+    worst_subset = 0
+    for s in range(1, 1 << m):
+        acc = 0
+        for v, c in counts.items():
+            acc += -c if raw_parity(v & s) else c
+        bias = Fraction(abs(acc), support)
+        if bias > max_bias:
+            max_bias = bias
+            worst_subset = s
+    return max_bias, worst_subset
+
+
 def raw_parity_words(q: int, words) -> list[int]:
     """Bit j of entry i is the parity of (64 * words[i] + j) & q."""
     return [sum(raw_parity((64 * w + j) & q) << j for j in range(64)) for w in words]

@@ -1,10 +1,12 @@
 """The kernels against independent oracles.
 
-The m=1 sweeps: numpy kernels, the indicator-matrix reference and the
-per-coset gather oracle agree exactly, witnesses included.  The rank
-kernels: `rank_words`, `batched_rank` and `condenser_sweep` return
-exactly what the int oracles in `reference` return."""
+The m=1 sweeps: the Walsh-spectrum kernels, the indicator-matrix
+reference and the per-coset gather oracle agree exactly, witnesses
+included.  `walsh`, the rank kernels `rank_words`, `batched_rank` and
+`condenser_sweep`, and `parity_words` return exactly what the int
+oracles in `reference` return."""
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from gf2lab import _kernels, verify
 from gf2lab.verify import affine_extractor_distance, builtin_function, directional_bias
 from reference import (gather_scan_m1, raw_condenser_sweep, raw_parity_words, raw_rank,
-                       raw_rref_bases)
+                       raw_rref_bases, raw_walsh)
 
 KINDS = ("affine", "xor", "joint")
 TABLES = ("random", "zero", "parity", "ip", "sparse")
@@ -52,10 +54,26 @@ def test_kernel_reference_and_oracle_agree(monkeypatch, n, k, with_shifts, table
 
 
 @pytest.mark.parametrize("with_shifts", [False, True])
-@pytest.mark.parametrize("n,k", [(7, 5), (7, 6), (8, 7)])
+@pytest.mark.parametrize("n,k", [(7, 5), (7, 6), (8, 6), (8, 7)])
 def test_multiword_tables_agree(n, k, with_shifts):
-    """2^n > 64: bitsets and direction tables span several words."""
+    """2^n > 64, up to the benchmark's (8, 6) scans: spectra of 2^n
+    entries, G^ rows built over several blocks and sub-batches."""
     assert_all_agree(make_table("random", n), n, k, with_shifts)
+
+
+@pytest.mark.parametrize("kind,with_shifts", [("xor", False), ("joint", False),
+                                              ("affine", True)])
+def test_benchmark_scan_memory_is_bounded(kind, with_shifts):
+    """One full (8, 6) scan, as the benchmark runs it, peaks under the
+    1.2 MB that the packed-bitset kernels before the spectra took."""
+    table = make_table("random", 8)
+    tracemalloc.start()
+    try:
+        verify._kernel_sweep_m1(kind, table, 8, 6, with_shifts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_200_000
 
 
 _rng = random.Random(11)
@@ -198,6 +216,45 @@ def test_byte_tables_shape():
     for bad in ([], [1, 2, 3], np.zeros((2, 3, 4), dtype=np.uint64)):
         with pytest.raises(ValueError, match=r"shape \(maps, n\)"):
             _kernels.byte_tables(bad, 8)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_walsh_matches_oracle(m):
+    rng = random.Random(f"walsh-{m}")
+    values = [rng.randint(-1000, 1000) for _ in range(1 << m)]
+    got = _kernels.walsh(np.array(values, dtype=np.int64))
+    assert got.tolist() == raw_walsh(values)
+    # along the middle axis, the other axes kept, in the input's dtype
+    grid = np.array([[[rng.randint(-99, 99) for _ in range(3)] for _ in range(1 << m)]
+                     for _ in range(2)], dtype=np.int32)
+    got = _kernels.walsh(grid.copy(), axis=1)
+    assert got.dtype == np.int32 and got.shape == grid.shape
+    for i in range(2):
+        for j in range(3):
+            assert got[i, :, j].tolist() == raw_walsh(grid[i, :, j].tolist())
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_spectra_match_oracle(monkeypatch, n):
+    """F^ and every row of G^ by their definitions, the rows asked for
+    in a random order and a few at a time, so the table grows and builds
+    rows in several blocks."""
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 1 << n)
+    table = make_table("random", n)
+    size = 1 << n
+    spec = _kernels.Spectra(table, n)
+    assert spec.fhat.tolist() == raw_walsh([1 - 2 * b for b in table])
+    # by_direction[a - 1][s] = G^[s, a]
+    by_direction = [raw_walsh([1 - 2 * (table[x] ^ table[x ^ a]) for x in range(size)])
+                    for a in range(1, size)]
+    order = list(range(size))
+    random.Random(n).shuffle(order)
+    for i in range(0, size, 3):
+        s = np.array(order[i:i + 3])
+        got = spec.ghat(s)
+        assert got.shape == (len(s), size - 1)
+        for row, si in zip(got.tolist(), s.tolist()):
+            assert row == [spectrum[si] for spectrum in by_direction]
 
 
 @pytest.mark.parametrize("q", [0, 1, 0b101101, 63, 64, 0b1000001, 0xABCDEF,

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from gf2lab.affine import AffineSource
 from gf2lab.bits import BitVec, GF2Matrix
 from gf2lab.subspaces import BudgetExceeded, iter_rref_bases, coset_reps
 from gf2lab.verify import (
@@ -19,6 +20,7 @@ from gf2lab.verify import (
     joint_distance_at,
     xor_bias_at,
 )
+from reference import raw_max_subset_bias
 
 
 class TestDirectionalBias:
@@ -270,3 +272,35 @@ class TestEpsBias:
             table = [rng.getrandbits(3) for _ in range(64)]
             rep = eps_bias_check(table, 6, 3)
             assert rep.passed  # measured <= eps * 2^(m/2), exact squares
+
+    def test_matches_subset_loop_oracle(self):
+        # full and affine sources, m = 0..8, skewed and planted tables
+        rng = random.Random(405)
+        for m in range(9):
+            n = max(m, 2) + 2
+            for trial in range(3):
+                if trial == 0:
+                    table = [rng.getrandbits(m) for _ in range(1 << n)]
+                elif trial == 1:  # skewed: few outputs, heavy ties
+                    table = [rng.choice((0, 1, (1 << m) - 1)) & ((1 << m) - 1)
+                             for _ in range(1 << n)]
+                else:  # uniform outputs: no subset is biased
+                    table = [x & ((1 << m) - 1) for x in range(1 << n)]
+                for src in (None, AffineSource.random(n, n - 1, rng)):
+                    rep = eps_bias_check(table, n, m, source=src)
+                    support = src or AffineSource.full(n)
+                    counts = {}
+                    for x in support.support():
+                        counts[table[x]] = counts.get(table[x], 0) + 1
+                    bias, subset = raw_max_subset_bias(counts, m, support.support_size())
+                    assert (Fraction(rep.value), rep.witness["subset_mask"]) == \
+                        (bias, subset), (m, trial)
+
+    def test_budget_charges_support_and_transform(self):
+        f = lambda x: x  # noqa: E731
+        with pytest.raises(BudgetExceeded, match="cost 80 exceeds"):
+            eps_bias_check(f, 4, 4, budget=79)
+        assert eps_bias_check(f, 4, 4, budget=80).value == "0"
+        # n = m = 20: 2^20 points and 20 * 2^20 transform steps
+        with pytest.raises(BudgetExceeded, match=f"cost {21 << 20} exceeds"):
+            eps_bias_check(f, 20, 20, budget=(21 << 20) - 1)
