@@ -14,8 +14,11 @@ are one gather and XOR per input byte, and no table grows with 2^n.
 extractor's testers and the structured function's truth table apply
 their linear maps with it too.
 `condenser_sweep` keeps a running max over the maps of each basis's
-image rank, then takes the first minimum over bases; `pooled_ranks`
-ranks the images under all maps together, for the expander checks.
+image rank, then takes the first minimum over bases; it reads its
+maps' byte tables from a small read-only cache keyed by the maps'
+content (bytes, shape and width), so a sweep builds them once, not once
+per block.  `pooled_ranks` ranks the images under all maps together,
+for the expander checks.
 `rank_words` is the scalar elimination, by highest set bit, behind
 `GF2Matrix.rank` and the expander checks on rows wider than 64 bits.
 `parity_words` gives the parity of x . q for 64 consecutive inputs per
@@ -42,6 +45,7 @@ the first sub-batch that reaches the largest possible value.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -137,6 +141,14 @@ def map_images(points, tabs: np.ndarray) -> list[np.ndarray]:
     return [_images(tab, idx) for tab in tabs]
 
 
+@lru_cache(maxsize=64)  # keyed by content, never by id(): equal maps share one entry
+def _condenser_tables(cols: bytes, shape: tuple[int, ...], width: int) -> np.ndarray:
+    """Read-only `byte_tables` of the uint64 map columns `cols` of `shape`."""
+    tabs = byte_tables(np.frombuffer(cols, dtype=np.uint64).reshape(shape), width)
+    tabs.setflags(write=False)
+    return tabs
+
+
 def condenser_sweep(bases, map_cols, m_out: int, threshold: int):
     """Min over subspaces of (max over row maps of image rank).
 
@@ -149,7 +161,8 @@ def condenser_sweep(bases, map_cols, m_out: int, threshold: int):
     ns, k = np.shape(bases)
     if ns == 0:
         return -1, -1, 0
-    tabs = byte_tables(map_cols, m_out)
+    cols = np.ascontiguousarray(map_cols, dtype=np.uint64)
+    tabs = _condenser_tables(cols.tobytes(), cols.shape, m_out)
     idx = _byte_indices(bases, tabs.shape[1])
     best = np.zeros(ns, dtype=np.intp)
     live = np.arange(ns)

@@ -329,7 +329,7 @@ def verify_affine_condenser(
         total = gaussian_binomial(cond.n_in, k)
         if total > budget:
             raise BudgetExceeded(f"{total} subspaces exceed budget {budget}")
-        blocks = rref_blocks(cond.n_in, k)
+        blocks = rref_blocks(cond.n_in, k, ramp=False)
     elif mode == "sampled":
         if rng is None or samples <= 0:
             raise ValueError("sampled mode needs rng and samples > 0")

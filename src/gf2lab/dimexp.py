@@ -6,6 +6,12 @@ dim(T_1(V) + ... + T_d(V)) >= (1+alpha) dim(V).  The certified alpha
 is the exact minimum of dim(sum)/dim(V) - 1 over the verified
 subspaces; downstream condenser bounds consume that number, never a
 literature constant.
+
+The exhaustive certificate ranks every subspace of dims 1 .. n/2 in
+batches of up to SWEEP_CHUNK bases that run across dimensions: each
+basis is zero-padded to n/2 rows (a zero row adds nothing to a span),
+so a batch is one pooled rank call, and each rank is compared with its
+own basis's dimension.  At n = 6 the whole certificate is one call.
 """
 from __future__ import annotations
 
@@ -17,9 +23,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import subspaces
 from ._kernels import byte_tables, pooled_ranks, rank_words
 from .bits import GF2Matrix
-from .subspaces import BudgetExceeded, gaussian_binomial, rref_blocks, sweep_chunks
+from .subspaces import BudgetExceeded, gaussian_binomial, rref_blocks
 
 DEFAULT_DEGREE = 3  # smallest degree the condensing argument tolerates
 EXHAUSTIVE_CAP = 1 << 22
@@ -52,9 +59,6 @@ class DimExpander:
     def d(self) -> int:
         return len(self.maps)
 
-    def image_rank(self, basis: GF2Matrix) -> int:
-        return _image_rank(self.maps, basis.rows, self.n)
-
     def to_text(self) -> str:
         head = f"{self.n} {self.d} {self.alpha} {self.certificate}\n"
         return head + "".join(m.to_text() for m in self.maps)
@@ -86,18 +90,49 @@ def _subspace_budget(n: int) -> int:
     return sum(gaussian_binomial(n, k) for k in range(1, n // 2 + 1))
 
 
+def _padded_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(dims, bases): every basis of dim 1 .. n/2 in canonical order,
+    zero-padded to n/2 rows, in batches of up to SWEEP_CHUNK, with each
+    basis's dimension."""
+    half, cap = n // 2, subspaces.SWEEP_CHUNK
+    pieces: list[tuple[int, np.ndarray]] = []
+    size = 0
+    for k in range(1, half + 1):
+        for block in rref_blocks(n, k, ramp=False):
+            while len(block):
+                piece, block = block[:cap - size], block[cap - size:]
+                pieces.append((k, piece))
+                size += len(piece)
+                if size == cap:
+                    yield _pad(pieces, size, half)
+                    pieces, size = [], 0
+    if size:
+        yield _pad(pieces, size, half)
+
+
+def _pad(pieces: list[tuple[int, np.ndarray]], size: int, half: int):
+    dims = np.empty(size, dtype=np.intp)
+    bases = np.zeros((size, half), dtype=np.uint64)
+    pos = 0
+    for k, piece in pieces:
+        dims[pos:pos + len(piece)] = k
+        bases[pos:pos + len(piece), :k] = piece
+        pos += len(piece)
+    return dims, bases
+
+
 def _rank_sweeps(
     maps: Sequence[GF2Matrix], n: int, budget: int
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(k, chunk, ranks of the pooled images) over every subspace with
-    dim in [1, n/2], in canonical order, k by k."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(dims, padded bases, ranks of the pooled images) over every
+    subspace with dim in [1, n/2], in canonical order, k by k: one
+    pooled rank call per batch of `_padded_batches`."""
     _check_degree(len(maps))
     if _subspace_budget(n) > budget:
         raise BudgetExceeded(f"exhaustive certification infeasible at n={n}")
     tabs = byte_tables([m.transpose().rows for m in maps], n)
-    for k in range(1, n // 2 + 1):
-        for _, chunk, ranks in sweep_chunks(rref_blocks(n, k), pooled_ranks, tabs):
-            yield k, chunk, ranks
+    for dims, bases in _padded_batches(n):
+        yield dims, bases, pooled_ranks(bases, tabs)
 
 
 def verify_dimension_expander(
@@ -111,13 +146,15 @@ def verify_dimension_expander(
     Returns (ok, witness); the witness is the first violating subspace
     in canonical enumeration order.
     """
-    for k, chunk, ranks in _rank_sweeps(maps, n, budget):
-        # rank / k < 1 + alpha  <=>  rank < ceil(k (1 + alpha)), clamped
-        # to [0, n + 1] so the bound fits the ranks' dtype
-        bound = max(0, min(math.ceil(k * (1 + alpha)), n + 1))
-        bad = np.flatnonzero(ranks < bound)
+    # rank / k < 1 + alpha  <=>  rank < ceil(k (1 + alpha)), clamped to
+    # [0, n + 1] so the bound fits the ranks' dtype
+    bounds = np.array([max(0, min(math.ceil(k * (1 + alpha)), n + 1))
+                       for k in range(n // 2 + 1)])
+    for dims, bases, ranks in _rank_sweeps(maps, n, budget):
+        bad = np.flatnonzero(ranks < bounds[dims])
         if len(bad):
-            return False, GF2Matrix(tuple(int(r) for r in chunk[bad[0]]), n)
+            i = bad[0]
+            return False, GF2Matrix(tuple(int(r) for r in bases[i, :dims[i]]), n)
     return True, None
 
 
@@ -127,8 +164,10 @@ def certified_alpha(
     """Exact best alpha: min over V of dim(sum T_i(V))/dim(V) - 1."""
     if n < 2:
         raise ValueError(f"no subspace of dimension 1 to n/2 at n={n}")
-    return min(Fraction(int(ranks.min()), k)
-               for k, _, ranks in _rank_sweeps(maps, n, budget)) - 1
+    lowest = np.full(n // 2 + 1, n + 1)  # lowest rank per dimension
+    for dims, _, ranks in _rank_sweeps(maps, n, budget):
+        np.minimum.at(lowest, dims, ranks)
+    return min(Fraction(int(r), k) for k, r in enumerate(lowest) if k) - 1
 
 
 def sampled_alpha(

@@ -105,7 +105,7 @@ def verify_injector(
     if k1 + k2 - 1 > n:
         return True, None
     map_cols = np.array([a.transpose().rows for a in inj.matrices], dtype=np.uint64)
-    _, min_best, rows, _ = min_rank_fold(rref_blocks(n, dim), map_cols, inj.d, dim)
+    _, min_best, rows, _ = min_rank_fold(rref_blocks(n, dim, ramp=False), map_cols, inj.d, dim)
     if min_best == dim:
         return True, None
     return False, (GF2Matrix(rows[:k1], n), GF2Matrix(rows[dim - k2:], n))

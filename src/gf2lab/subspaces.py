@@ -6,8 +6,13 @@ within one pattern the free entries in increasing integer order
 (free positions filled row-major).  Reports and witnesses rely on
 this order being stable, so it must never change.
 
-Two enumerators produce that order.  `rref_blocks` builds it as numpy
-blocks, one vector op per free bit of each pivot pattern, and feeds
+Three enumerators produce that order.  `rref_table` builds the whole
+enumeration of one small shape as a single read-only (count, k) uint64
+array, once per process: it covers shapes of at most TABLE_WORDS words
+(1 MiB) and keeps the last 32 of them, so the cache never holds more
+than 32 MiB.  `rref_blocks` hands out numpy blocks: slices of that
+table when the shape fits, and otherwise blocks built as they are
+asked for, one vector op per free bit of each pivot pattern; it feeds
 every exhaustive kernel sweep.  `iter_rref_bases` yields one tuple of
 int rows per subspace; it stays for the code that visits subspaces one
 at a time in Python (`enumerate_subspaces`, the m=1 reference scan,
@@ -20,7 +25,8 @@ into such blocks.
 """
 from __future__ import annotations
 
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +39,8 @@ from .bits import GF2Matrix
 # bases, not SWEEP_CHUNK, before its kernel can stop.
 SWEEP_CHUNK = 1 << 13
 FIRST_CHUNK = 64
+# Largest enumeration, in uint64 words (count * k), that `rref_table` builds.
+TABLE_WORDS = 1 << 17
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -80,25 +88,64 @@ def enumerate_subspaces(n: int, k: int, budget: int | None = None) -> Iterator[G
         yield GF2Matrix(rows, n)
 
 
-def _chunk_sizes() -> Iterator[int]:
-    size = min(FIRST_CHUNK, SWEEP_CHUNK)
+def _chunk_sizes(ramp: bool = True) -> Iterator[int]:
+    size = min(FIRST_CHUNK, SWEEP_CHUNK) if ramp else SWEEP_CHUNK
     while True:
         yield size
         size = min(2 * size, SWEEP_CHUNK)
 
 
-def rref_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+def _fits_table(n: int, k: int) -> bool:
+    return 0 <= k <= n and gaussian_binomial(n, k) * k <= TABLE_WORDS
+
+
+@lru_cache(maxsize=32)  # keyed by the two ints; at most 32 x 1 MiB
+def rref_table(n: int, k: int) -> np.ndarray:
+    """Every basis of `iter_rref_bases(n, k)`, in the same order, as one
+    read-only (count, k) uint64 array, built once per process.
+
+    A shape of more than TABLE_WORDS words, or with k outside [0, n],
+    is refused with ValueError, which adds no cache entry.
+    """
+    if not _fits_table(n, k):
+        raise ValueError(f"no ({n}, {k}) table: k outside [0, n] or "
+                         f"more than {TABLE_WORDS} words")
+    table = next(_build_blocks(n, k, repeat(gaussian_binomial(n, k))))
+    table.base.setflags(write=False)
+    table.setflags(write=False)
+    return table
+
+
+def rref_blocks(n: int, k: int, ramp: bool = True) -> Iterator[np.ndarray]:
     """The bases of `iter_rref_bases(n, k)`, in the same order, as
     (count, k) uint64 blocks of FIRST_CHUNK bases, then twice as many
     each time, up to SWEEP_CHUNK; the last block holds the remainder.
+    A sweep that never stops early passes ramp=False and gets blocks of
+    SWEEP_CHUNK bases from the first.
+
+    A shape that fits `rref_table` is sliced from it, read-only; any
+    other is built block by block, a block only when the consumer asks
+    for it.  The block sizes are read when the blocks are handed out.
+    """
+    if not _fits_table(n, k):
+        yield from _build_blocks(n, k, _chunk_sizes(ramp))
+        return
+    table, pos = rref_table(n, k), 0
+    for size in _chunk_sizes(ramp):
+        if pos >= len(table):
+            return
+        yield table[pos:pos + size]
+        pos += size
+
+
+def _build_blocks(n: int, k: int, sizes: Iterator[int]) -> Iterator[np.ndarray]:
+    """The enumeration in blocks of the given sizes, each built on demand.
 
     Per pivot pattern, the fills are an `arange` over the pattern's
     free positions, and bit t of every fill is moved to column j of its
     row i, the t-th free position, with one shift and mask.  Blocks are
-    filled row-major as (k, count) and handed out transposed.  A block
-    is built only when the consumer asks for it.
+    filled row-major as (k, count) and handed out transposed.
     """
-    sizes = _chunk_sizes()
     buf = np.empty((k, next(sizes)), dtype=np.uint64)
     pos = 0
     for pivots in combinations(range(n), k):

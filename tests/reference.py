@@ -7,6 +7,7 @@ a genuine dual-implementation check.  Only the leaf field arithmetic
 gathers with numpy.
 """
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -332,12 +333,19 @@ def _raw_pooled_ratios(maps, n: int):
     """(ratio, basis rows) for every subspace V of F2^n with dim in
     [1, n/2], dimension by dimension in canonical order, where ratio is
     rank(T_1(V) + ... + T_d(V)) / dim(V).  maps: per map, its int rows
-    (bit j of row i is entry (i, j))."""
+    (bit j of row i is entry (i, j)).  Computed once per (maps, n)."""
+    return _pooled_ratios(tuple(tuple(mat) for mat in maps), n)
+
+
+@cache
+def _pooled_ratios(maps, n: int) -> tuple:
+    out = []
     for k in range(1, n // 2 + 1):
         for rows in raw_rref_bases(n, k):
             images = [sum(raw_parity(m_row & r) << i for i, m_row in enumerate(mat))
                       for mat in maps for r in rows]
-            yield Fraction(raw_rank(images), k), rows
+            out.append((Fraction(raw_rank(images), k), rows))
+    return tuple(out)
 
 
 def raw_certified_alpha(maps, n: int) -> Fraction:

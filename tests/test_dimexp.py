@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gf2lab import subspaces
 from gf2lab.bits import GF2Matrix
 from gf2lab.dimexp import (
     DimExpander,
@@ -17,6 +18,7 @@ from gf2lab.subspaces import enumerate_subspaces
 from reference import (
     raw_certified_alpha,
     raw_first_violation,
+    raw_rank,
     raw_sampled_alpha,
     raw_sampled_alpha_by_dim,
 )
@@ -106,7 +108,7 @@ def test_image_rank_dominates_single_map():
             b = GF2Matrix.random(k, 6, rng)
             if b.rank() == k:
                 break
-        total = e.image_rank(b)
+        total = raw_rank([t.mul_vec(r) for t in e.maps for r in b.rows])
         for t in e.maps:
             single = GF2Matrix(tuple(t.mul_vec(r) for r in b.rows), 6).rank()
             assert total >= single
@@ -173,30 +175,62 @@ def test_matrix_inverse():
         assert m.inverse() @ m == GF2Matrix.identity(n)
 
 
+def _fixing(n, v, rng):
+    """Three random invertible maps that all fix e_v, so span(e_v) has
+    ratio 1 at dim 1, where each batched basis carries n/2 - 1 padding
+    rows."""
+    maps = []
+    while len(maps) < 3:
+        rows = GF2Matrix.random(n, n, rng).rows
+        cand = GF2Matrix(tuple((r & ~(1 << v)) | ((i == v) << v) for i, r in enumerate(rows)), n)
+        if cand.rank() == n:
+            maps.append(cand)
+    return maps
+
+
 def _families(n):
-    """Identity, random and random invertible families of degree 1-3."""
+    """Identity, random and random invertible families of degree 1-3
+    (degree 3 only at n = 7, to keep the oracle's walk short), and two
+    families whose lowest ratio sits at dim 1: a mutant that pads with a
+    non-zero row lifts it."""
     rng = random.Random(f"families-{n}")
     yield [GF2Matrix.identity(n)] * 3
     for d in (1, 2, 3):
-        yield [GF2Matrix.random(n, n, rng) for _ in range(d)]
-        yield [GF2Matrix.random_invertible(n, rng) for _ in range(d)]
+        drawn = [GF2Matrix.random(n, n, rng) for _ in range(d)]
+        invertible = [GF2Matrix.random_invertible(n, rng) for _ in range(d)]
+        if n < 7 or d == 3:
+            yield drawn
+            yield invertible
+    for v in (0, n - 1):
+        yield _fixing(n, v, rng)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_certified_alpha_matches_int_oracle(n):
-    for maps in _families(n):
-        rows = [m.rows for m in maps]
-        assert certified_alpha(maps, n) == raw_certified_alpha(rows, n)
+# 50 bases per batch splits dim 1 at n >= 6 and makes batches that span
+# two dimensions; the default 8192 splits dim 3 at n = 7 (14,605 bases).
+CHUNKS = (None, 50)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_first_violation_matches_int_oracle(n):
-    for maps in _families(n):
-        rows = [m.rows for m in maps]
-        alpha = raw_certified_alpha(rows, n)
-        for probe in (alpha, alpha + Fraction(1, n * n), Fraction(0), Fraction(1, 4),
-                      Fraction(-1), Fraction(n)):
-            ok, witness = verify_dimension_expander(maps, probe, n)
-            want = raw_first_violation(rows, probe, n)
-            assert ok == (want is None), probe
-            assert (witness.rows if witness else None) == want, probe
+@pytest.mark.parametrize("n", range(2, 8))
+def test_certified_alpha_matches_int_oracle(monkeypatch, n):
+    for chunk in CHUNKS:
+        if chunk is not None:
+            monkeypatch.setattr(subspaces, "SWEEP_CHUNK", chunk)
+        for maps in _families(n):
+            rows = [m.rows for m in maps]
+            assert certified_alpha(maps, n) == raw_certified_alpha(rows, n), chunk
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_first_violation_matches_int_oracle(monkeypatch, n):
+    for chunk in CHUNKS:
+        if chunk is not None:
+            monkeypatch.setattr(subspaces, "SWEEP_CHUNK", chunk)
+        for maps in _families(n):
+            rows = [m.rows for m in maps]
+            alpha = raw_certified_alpha(rows, n)
+            for probe in (alpha, alpha + Fraction(1, n * n), Fraction(0), Fraction(1, 4),
+                          Fraction(-1), Fraction(n)):
+                ok, witness = verify_dimension_expander(maps, probe, n)
+                want = raw_first_violation(rows, probe, n)
+                assert ok == (want is None), (chunk, probe)
+                assert (witness.rows if witness else None) == want, (chunk, probe)

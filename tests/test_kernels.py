@@ -152,6 +152,24 @@ def test_condenser_sweep_random_chunks():
             assert got == raw_condenser_sweep(bases, maps, threshold), (n, k)
 
 
+def test_condenser_sweep_tables_follow_the_maps():
+    """Two condenser families of one shape and width, rebuilt and swept
+    in turn: each sweep reads its own maps' byte tables, which equal
+    maps share."""
+    rng = random.Random(11)
+    n, k, m_out = 6, 2, 4
+    bases = list(raw_rref_bases(n, k))
+    families = [[[rng.getrandbits(m_out) for _ in range(n)] for _ in range(3)]
+                for _ in range(2)]
+    _kernels._condenser_tables.cache_clear()
+    for turn in range(6):
+        maps = families[turn % 2]
+        got = _kernels.condenser_sweep(_u64(bases), _u64(maps), m_out, 3)
+        assert got == raw_condenser_sweep(bases, maps, 3), turn
+    info = _kernels._condenser_tables.cache_info()
+    assert (info.currsize, info.hits) == (2, 4)
+
+
 def test_condenser_sweep_first_minimum_wins():
     # the map drops coordinate 2: span{e0, e1} keeps rank 2, while
     # span{e0, e2} and span{e1, e2} both fall to rank 1

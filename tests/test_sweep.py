@@ -79,6 +79,7 @@ def test_parity_exit_reads_first_chunk_at_default_size(monkeypatch):
 
 
 def test_chunks_grow_from_first_to_sweep_chunk(monkeypatch):
+    list(subspaces.rref_blocks(5, 2))  # its table is built at the default sizes
     monkeypatch.setattr(subspaces, "FIRST_CHUNK", 2)
     monkeypatch.setattr(subspaces, "SWEEP_CHUNK", SMALL_CHUNK)
     sizes = [len(chunk) for _, chunk, _ in
@@ -114,8 +115,10 @@ def test_rref_blocks_follow_canonical_order(n):
         assert got == list(raw_rref_bases(n, k)), k
 
 
-@pytest.mark.parametrize("sweep_chunk,n,k", [(None, 8, 4), (SMALL_CHUNK, 6, 3), (100, 8, 3)])
+@pytest.mark.parametrize("sweep_chunk,n,k", [(None, 8, 4), (SMALL_CHUNK, 6, 3), (100, 8, 3),
+                                              (1000, 8, 6), (100, 8, 2)])
 def test_rref_block_sizes_double_up_to_sweep_chunk(monkeypatch, sweep_chunk, n, k):
+    list(subspaces.rref_blocks(n, k))  # a table, if the shape has one, at default sizes
     if sweep_chunk is not None:
         monkeypatch.setattr(subspaces, "SWEEP_CHUNK", sweep_chunk)
     cap, total = subspaces.SWEEP_CHUNK, subspaces.gaussian_binomial(n, k)
@@ -126,3 +129,44 @@ def test_rref_block_sizes_double_up_to_sweep_chunk(monkeypatch, sweep_chunk, n, 
     want.append(total - sum(want))
     assert cap in want
     assert [len(b) for b in subspaces.rref_blocks(n, k)] == want
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (8, 2), (8, 3), (8, 6)])
+@pytest.mark.parametrize("ramp", [True, False])
+def test_cached_and_streamed_blocks_follow_reference(monkeypatch, n, k, ramp):
+    # (6, 3), (8, 2) and (8, 6) are sliced from their tables, (8, 3) is
+    # streamed; ramp=False hands out SWEEP_CHUNK bases from the first block
+    monkeypatch.setattr(subspaces, "SWEEP_CHUNK", 1000)
+    blocks = list(subspaces.rref_blocks(n, k, ramp=ramp))
+    total = subspaces.gaussian_binomial(n, k)
+    sizes = [len(b) for b in blocks]
+    assert sizes[0] == (min(subspaces.FIRST_CHUNK, 1000) if ramp else min(1000, total))
+    assert max(sizes) <= 1000 and sum(sizes) == total
+    got = [tuple(int(r) for r in row) for b in blocks for row in b]
+    assert got == list(raw_rref_bases(n, k))
+
+
+def test_rref_table_is_read_only():
+    table = subspaces.rref_table(6, 3)
+    assert table.shape == (1395, 3) and table.dtype == np.uint64
+    assert subspaces.rref_table(6, 3) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0
+    with pytest.raises(ValueError):
+        table.setflags(write=True)
+    block = next(subspaces.rref_blocks(6, 3))
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 0
+
+
+def test_rref_table_caches_small_shapes_only():
+    subspaces.rref_table.cache_clear()
+    for k in range(2, 7):  # (8,2) and (8,6) fit in TABLE_WORDS; (8,3)-(8,5) do not
+        list(subspaces.rref_blocks(8, k))
+    assert subspaces.rref_table.cache_info().currsize == 2
+    for k in (3, 4, 5, 9):
+        with pytest.raises(ValueError, match="no \\(8, %d\\) table" % k):
+            subspaces.rref_table(8, k)
+    assert subspaces.rref_table.cache_info().currsize == 2
+    assert subspaces.TABLE_WORDS == 1 << 17
+    assert subspaces.rref_table.cache_info().maxsize == 32
